@@ -28,6 +28,16 @@ TABLE1_COMMENT = (
 )
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soca-kit",
@@ -66,23 +76,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="brute-force census of one or more diameters")
     p_scan.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 4 or 3..6")
     p_scan.add_argument("--field", default="GF(2)")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_worker_count, default=1)
     p_scan.add_argument("--i-know", action="store_true", help="override the desk-scale guards")
     add_out_args(p_scan)
 
     p_count = sub.add_parser("count-linear", help="fast gcd count of linear self-orthogonal rules")
     p_count.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 17 or 3..16")
     p_count.add_argument("--field", default="GF(2)")
-    p_count.add_argument("--workers", type=int, default=1)
+    p_count.add_argument("--workers", type=_worker_count, default=1)
     p_count.add_argument("--i-know", action="store_true")
     add_out_args(p_count)
 
     p_t1 = sub.add_parser("table1", help="census CSV for d = 3..6 over GF(2)")
-    p_t1.add_argument("--workers", type=int, default=1)
+    p_t1.add_argument("--workers", type=_worker_count, default=1)
     p_t1.add_argument("--out", help="output file (stdout when omitted)")
 
     p_t2 = sub.add_parser("table2", help="linear self-orthogonal counts for d = 3..16 over GF(2)")
-    p_t2.add_argument("--workers", type=int, default=1)
+    p_t2.add_argument("--workers", type=_worker_count, default=1)
     p_t2.add_argument("--out", help="output file (stdout when omitted)")
 
     p_poly = sub.add_parser("poly", help="analyze one associated polynomial")
@@ -111,17 +121,20 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
+class _UsageError(Exception):
+    pass
+
+
 def _parse_diameters(spec: str) -> range:
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        ds = range(int(lo), int(hi) + 1)
+        if not ds:
+            raise _UsageError(f"empty diameter range {spec}: the first diameter exceeds the last")
+        return ds
     d = int(spec)
     return range(d, d + 1)
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _parse_rule(args, field: Field) -> tuple[LocalRule, str]:

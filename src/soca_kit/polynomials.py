@@ -306,10 +306,6 @@ def irreducibles_of_degree(field: Field, m: int) -> list[Poly]:
     return out
 
 
-def _sorted_codes(polys):
-    return sorted(polys, key=Poly.code)
-
-
 # -- GF(2) bitmask fast path ---------------------------------------------------
 # Polynomials over GF(2) as plain ints, bit i = coefficient of X^i.  Used by the
 # large linear-rule counts; cross-validated against Poly in the tests.

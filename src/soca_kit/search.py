@@ -7,12 +7,22 @@ square of order q on the alphabet) per value of the central d-2 cells, so the
 rule space is indexed by tuples of such maps.  Over GF(2) the two maps are
 XOR and XNOR and the index is exactly the truth table of the generating
 function g in f = x_1 + g(x_2..x_{d-1}) + x_d, enumerated in increasing
-order.  Scans stream rules; nothing is materialized.
+order.  Scans stream rules in small blocks; the rule space is never
+materialized.
+
+A scan decides rules in two stages.  A batched prefix filter evaluates, for
+a block of rule indices at once, only the grid cells in the first few rows
+and columns and rejects every rule whose superposition with the transpose
+repeats a pair there: a repeated pair in any cells already proves the square
+is not orthogonal to its transpose.  Each survivor then goes through the
+full brute-force check, so every hit is proven on the whole grid.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,9 +35,15 @@ from .fields import Field, GF2
 from .polynomials import Poly, gcd, mask_gcd
 from .matrices import x_pow_minus_one
 from .rules import LocalRule, _table_dtype
+from .squares import _cayley_plan, _window_indices
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
+# Prefix filter: grid rows (and as many columns) it evaluates, and rules per
+# block.  Four rows and columns leave 28 of the 65,536 binary d=6 rules to the
+# full check; a block of 128 rules keeps the filter's arrays near 150 kB.
+_FILTER_ROWS = 4
+_BLOCK_RULES = 128
 
 
 class ScaleGuardError(ValueError):
@@ -109,6 +125,11 @@ class ScanReport:
     twice the strict count (complementing a rule preserves the property).
     ``polynomials`` lists the associated polynomials of the strict-linear
     self-orthogonal rules, ascending by coefficient code.
+    ``stats`` counts what the scan did: rules ``enumerated``, rejected by
+    the prefix filter (``prefix_rejected``) and ``fully_checked``, and the
+    seconds spent in each stage (``filter_s``, ``check_s``), summed over
+    worker chunks.  It takes no part in equality, ``key()``, ``as_dict()`` or
+    the CSV.
     """
 
     d: int
@@ -120,6 +141,7 @@ class ScanReport:
     n_affine_soca: int
     polynomials: tuple[Poly, ...]
     elapsed: float
+    stats: dict = dataclasses.field(default_factory=dict, compare=False)
 
     def key(self) -> tuple:
         """Everything except the timing; equal keys mean equal results."""
@@ -163,34 +185,101 @@ def scan_reports_to_csv(reports, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_chunk(args) -> list[int]:
+@lru_cache(maxsize=32)
+def _prefix_plan(field: Field, d: int):
+    """Grid cells the prefix filter evaluates: every cell of the first k rows,
+    then the first k columns of the remaining rows.  The set is closed under
+    transposition; ``mirror[s]`` is the position of cell s's mirror.
+    Returns the cells, their neighborhood windows and output weights (as in
+    ``squares.cayley_table``), and ``mirror``."""
+    q = field.q
+    blocks, out_weights, _ = _cayley_plan(field, d, False)
+    n = blocks.shape[0]
+    k = min(_FILTER_ROWS, n)
+    rows = np.concatenate([np.repeat(np.arange(k), n), np.repeat(np.arange(k, n), k)])
+    cols = np.concatenate([np.tile(np.arange(n), k), np.tile(np.arange(k), n - k)])
+    mirror = np.where(cols < k, cols * n + rows, k * n + (cols - k) * k + rows)
+    windows = _window_indices(np.hstack([blocks[rows], blocks[cols]]), q, d)
+    return rows, cols, windows, out_weights.astype(np.min_scalar_type(n - 1)), mirror
+
+
+def _prefix_codes(field: Field, d: int, lo: int, hi: int):
+    """Lookup tables of the rules lo..hi-1, one per row, and the codes
+    A[r, c] * n + A[c, r] of their superposition pairs on the prefix plan's
+    cells (0-based symbols).  Two equal codes in a row prove that rule's
+    square is not orthogonal to its transpose.
+
+    Symbols and codes use the narrowest unsigned type that holds n - 1 and
+    n^2 - 1 (uint8 and uint16 at d = 6): einsum casts the gathered windows,
+    the largest array here, to its accumulator type."""
+    central, pair, maps = _rule_plan(field, d)
+    _, _, windows, weights, mirror = _prefix_plan(field, d)
+    n = field.q ** (d - 1)
+    base = maps.shape[0]
+    idx = np.arange(lo, hi, dtype=np.int64)
+    powers = base ** np.arange(field.q ** (d - 2), dtype=np.int64)
+    digits = (idx[:, None] // powers % base).astype(np.min_scalar_type(base - 1))
+    tables = maps[digits[:, central], pair]
+    symbols = np.einsum("bst,t->bs", tables[:, windows], weights, dtype=weights.dtype)
+    code = np.min_scalar_type(n * n - 1).type
+    return tables, symbols.astype(code) * code(n) + symbols[:, mirror]
+
+
+def _scan_chunk(args) -> tuple[list[int], dict]:
+    """Self-orthogonal rule indices in start..stop-1, and the chunk's stats."""
     field, d, start, stop = args
     hits = []
-    for index in range(start, stop):
-        if soca_bruteforce(_rule_from_index(field, d, index)).verdict:
-            hits.append(index)
-    return hits
+    stats = dict(enumerated=stop - start, prefix_rejected=0, fully_checked=0, filter_s=0.0, check_s=0.0)
+    for lo in range(start, stop, _BLOCK_RULES):
+        t0 = time.perf_counter()
+        tables, codes = _prefix_codes(field, d, lo, min(lo + _BLOCK_RULES, stop))
+        codes.sort(axis=1)
+        survivors = np.flatnonzero(~(codes[:, 1:] == codes[:, :-1]).any(axis=1))
+        t1 = time.perf_counter()
+        for b in survivors.tolist():
+            if soca_bruteforce(LocalRule(field, d, tables[b])).verdict:
+                hits.append(lo + b)
+        t2 = time.perf_counter()
+        stats["prefix_rejected"] += len(tables) - len(survivors)
+        stats["fully_checked"] += len(survivors)
+        stats["filter_s"] += t1 - t0
+        stats["check_s"] += t2 - t1
+    return hits, stats
+
+
+def _worker_count(workers: int) -> int:
+    """Processes to use for ``workers`` requested: at least one, clamped to
+    the CPU count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _chunks(total: int, workers: int):
-    n_chunks = max(min(workers * 4, total), 1)
+    n_chunks = max(min(_worker_count(workers) * 4, total), 1)
     step = -(-total // n_chunks)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _scan_indices(field: Field, d: int, workers: int, force: bool) -> tuple[int, list[int]]:
+def _scan_indices(field: Field, d: int, workers: int, force: bool) -> tuple[int, list[int], dict]:
+    workers = _worker_count(workers)
     cap = SCAN_DIAMETER_CAP.get(field.q)
     if not force and (cap is None or d > cap):
         raise ScaleGuardError(f"scan of q={field.q}, d={d} exceeds the desk-scale guard")
     total = rule_space_size(field, d)
-    if workers <= 1:
-        return total, _scan_chunk((field, d, 0, total))
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"a rule space of {total} rules exceeds the 64-bit rule index")
+    if workers == 1:
+        return (total, *_scan_chunk((field, d, 0, total)))
     jobs = [(field, d, lo, hi) for lo, hi in _chunks(total, workers)]
     hits: list[int] = []
+    stats: dict = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_chunk, jobs):
+        for part, part_stats in pool.map(_scan_chunk, jobs):
             hits.extend(part)  # jobs are contiguous and mapped in order
-    return total, hits
+            for name, value in part_stats.items():
+                stats[name] = stats.get(name, 0) + value
+    return total, hits, stats
 
 
 def _field_for_order(q: int) -> Field:
@@ -209,7 +298,7 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
     if q not in (2, 3):
         raise ScaleGuardError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
-    total, hits = _scan_indices(field, d, workers, force)
+    total, hits, stats = _scan_indices(field, d, workers, force)
     n_linear = n_affine = 0
     polys = []
     for index in hits:
@@ -231,6 +320,7 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
         n_affine_soca=n_affine,
         polynomials=tuple(polys),
         elapsed=time.perf_counter() - t0,
+        stats=stats,
     )
 
 
@@ -239,7 +329,7 @@ def find_nonlinear_soca(d: int, q: int = 2, workers: int = 1, force: bool = Fals
     if q not in (2, 3):
         raise ScaleGuardError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
-    _, hits = _scan_indices(field, d, workers, force)
+    _, hits, _ = _scan_indices(field, d, workers, force)
     rules = (_rule_from_index(field, d, index) for index in hits)
     return [r for r in rules if r.as_affine() is None]
 
@@ -291,7 +381,7 @@ def _count_chunk_gf2(args) -> int:
 
 def _count_linear_gf2(d: int, workers: int) -> int:
     total = 1 << (d - 2)
-    if workers <= 1 or total < 1 << 12:
+    if workers == 1 or total < 1 << 12:
         return _count_chunk_gf2((d, 0, total))
     jobs = [(d, lo, hi) for lo, hi in _chunks(total, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -326,6 +416,7 @@ def count_linear_soca(
     the test is gcd(p_f, X^(d-1) + 1) = 1 on bitmask polynomials; other fields
     run the generic gcd with X^(2(d-1)) - 1 over all nonzero a_1, a_d.
     """
+    workers = _worker_count(workers)
     if d_min < 2 or d_min > d_max:
         raise ValueError(f"bad diameter range {d_min}..{d_max}")
     if d_max > COUNT_DIAMETER_CAP and not force:

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from soca_kit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +114,24 @@ def test_scan_json(capsys):
 def test_scan_guard_exit_code(capsys):
     code, _, err = run(capsys, "scan", "-d", "7")
     assert code == 2 and "--i-know" in err
+
+
+def test_reversed_diameter_range(capsys):
+    code, out, err = run(capsys, "scan", "-d", "6..3")
+    assert code == 2 and out == "" and "6..3" in err
+    code, out, err = run(capsys, "count-linear", "-d", "9..4")
+    assert code == 2 and out == "" and "9..4" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("scan", "-d", "3"), ("count-linear", "-d", "3"), ("table1",), ("table2",)]
+)
+def test_workers_below_one_rejected(capsys, argv):
+    for bad in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_count_linear_d17(capsys):

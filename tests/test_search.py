@@ -1,13 +1,19 @@
 """Rule-space scans, linear counts, report determinism and rendering."""
 
+import dataclasses
 import json
+import os
+import random
 
+import numpy as np
 import pytest
 
+from soca_kit import search
 from soca_kit.checkers import soca_bruteforce, soca_linear_fast
 from soca_kit.fields import GF2, GF3
 from soca_kit.polynomials import Poly, mask_gcd
 from soca_kit.rules import LinearRule
+from soca_kit.squares import cayley_table
 from soca_kit.search import (
     LinearCountReport,
     ScaleGuardError,
@@ -118,6 +124,70 @@ def test_scan_worker_determinism():
     base = scan_soca(4)
     assert scan_soca(4, workers=2).key() == base.key()
     assert scan_soca(4, workers=3).key() == base.key()
+
+
+@pytest.mark.parametrize("field,d", [(GF2, 3), (GF2, 4), (GF2, 5), (GF3, 3)])
+def test_kernel_matches_bruteforce_oracle(field, d):
+    rules = list(enumerate_bipermutive(field, d))
+    oracle = [i for i, rule in enumerate(rules) if soca_bruteforce(rule).verdict]
+    total = len(rules)
+    tables, _ = search._prefix_codes(field, d, 0, total)
+    assert np.array_equal(tables, np.stack([r.table for r in rules]))
+    assert search._scan_chunk((field, d, 0, total))[0] == oracle
+    # chunks that start and stop off the block grid, as a worker pool cuts them
+    lo, hi = total // 3 + 1, total - 5
+    assert search._scan_chunk((field, d, lo, hi))[0] == [i for i in oracle if lo <= i < hi]
+
+
+def test_prefix_filter_rejections_are_proofs_d6():
+    rows, cols = search._prefix_plan(GF2, 6)[:2]
+    for index in random.Random(6).sample(range(rule_space_size(GF2, 6)), 512):
+        _, codes = search._prefix_codes(GF2, 6, index, index + 1)
+        _, first, counts = np.unique(codes[0], return_index=True, return_counts=True)
+        if counts.max() == 1:
+            continue
+        rule = search._rule_from_index(GF2, 6, index)
+        assert not soca_bruteforce(rule).verdict
+        grid = cayley_table(rule).grid
+        dup = int(first[np.argmax(counts > 1)])
+        other = int(np.flatnonzero(codes[0] == codes[0, dup])[1])
+        (r1, c1), (r2, c2) = (rows[dup], cols[dup]), (rows[other], cols[other])
+        assert (r1, c1) != (r2, c2)
+        assert (grid[r1, c1], grid[c1, r1]) == (grid[r2, c2], grid[c2, r2])
+
+
+def test_scan_stats():
+    for d in (3, 4, 5):
+        rep = scan_soca(d)
+        st = rep.stats
+        assert st["prefix_rejected"] + st["fully_checked"] == st["enumerated"] == rep.n_bipermutive
+        assert st["fully_checked"] >= rep.n_soca
+        assert st["filter_s"] >= 0 and st["check_s"] >= 0
+        bare = dataclasses.replace(rep, stats={})
+        assert bare == rep and bare.key() == rep.key()
+        assert scan_reports_to_csv([bare]) == scan_reports_to_csv([rep])
+        assert json.dumps(bare.as_dict()) == json.dumps(rep.as_dict())
+    pooled = scan_soca(4, workers=2).stats
+    serial = scan_soca(4).stats
+    for name in ("enumerated", "prefix_rejected", "fully_checked"):
+        assert pooled[name] == serial[name]
+
+
+def test_worker_count_validation(monkeypatch):
+    with pytest.raises(ValueError, match="workers"):
+        scan_soca(3, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        find_nonlinear_soca(3, workers=-1)
+    with pytest.raises(ValueError, match="workers"):
+        count_linear_soca(3, 5, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        search._chunks(100, 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    chunks = search._chunks(10**6, 10**9)
+    assert len(chunks) == 8
+    assert chunks[0][0] == 0 and chunks[-1][1] == 10**6
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert search._worker_count(10**9) == 2
 
 
 def test_count_linear_small_range():
