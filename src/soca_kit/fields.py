@@ -3,7 +3,8 @@
 Elements are plain integers in ``0..q-1``.  For a prime field the integer is
 the residue mod p.  For a binary extension field (p = 2, k > 1) it is the bit
 vector of a polynomial residue modulo a fixed irreducible polynomial of
-degree k, least-significant bit = constant term.
+degree k, least-significant bit = constant term, multiplied and reduced with
+the GF(2)[X] mask routines of :mod:`soca_kit.polynomials`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import re
 
 import numpy as np
 
+from .polynomials import mask_divmod, mask_is_irreducible, mask_mul
+
 MAX_ORDER = 1 << 16
 
 # Ascending-coefficient bitmask (bit i = coefficient of x^i) of the smallest
-# irreducible polynomial of each degree over GF(2), found by trial division.
+# irreducible polynomial of each degree over GF(2).
 DEFAULT_MODULI = {
     2: 0b111,
     3: 0b1011,
@@ -44,38 +47,6 @@ def is_prime(n: int) -> bool:
         return False
     for d in range(2, int(n**0.5) + 1):
         if n % d == 0:
-            return False
-    return True
-
-
-def _gf2_degree(a: int) -> int:
-    return a.bit_length() - 1
-
-
-def _gf2_mod(a: int, b: int) -> int:
-    db = _gf2_degree(b)
-    while _gf2_degree(a) >= db:
-        a ^= b << (_gf2_degree(a) - db)
-    return a
-
-
-def _gf2_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def _gf2_irreducible(mask: int) -> bool:
-    # Trial division by every polynomial of degree 1..deg/2.
-    m = _gf2_degree(mask)
-    if m < 1:
-        return False
-    for d in range(2, 1 << (m // 2 + 1)):
-        if _gf2_degree(d) >= 1 and _gf2_mod(mask, d) == 0:
             return False
     return True
 
@@ -116,10 +87,9 @@ class Field:
             raise ValueError("modulus must list ascending GF(2) coefficients of degree k")
         if mod[0] == 0:
             raise ValueError("modulus must have a nonzero constant term")
-        mask = sum(c << i for i, c in enumerate(mod))
-        if not _gf2_irreducible(mask):
-            raise ValueError(f"modulus {self.descriptor_modulus()} is reducible over GF(2)")
         object.__setattr__(self, "modulus", mod)
+        if not mask_is_irreducible(self._modulus_mask):
+            raise ValueError(f"modulus {self.descriptor_modulus()} is reducible over GF(2)")
 
     @property
     def q(self) -> int:
@@ -158,7 +128,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        return _gf2_mod(_gf2_mul(a, b), self._modulus_mask)
+        return mask_divmod(mask_mul(a, b), self._modulus_mask)[1]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -183,7 +153,7 @@ class Field:
             e >>= 1
         return r
 
-    @property
+    @cached_property
     def _modulus_mask(self) -> int:
         return sum(c << i for i, c in enumerate(self.modulus))
 

@@ -218,8 +218,7 @@ class Circulant:
         return Poly(self.field, self.first_row)
 
     def to_matrix(self) -> Matrix:
-        rows = [np.roll(np.array(self.first_row, dtype=np.int64), i) for i in range(self.n)]
-        return Matrix(self.field, np.stack(rows))
+        return Matrix(self.field, np.array(self.first_row, dtype=np.int64)[_circulant_index(self.n)])
 
     def __mul__(self, other: "Circulant") -> "Circulant":
         """Product via the associated polynomials mod X^n - 1."""
@@ -241,18 +240,20 @@ class Circulant:
         c = self.poly()
         if c.is_zero:
             return False
-        return gcd(c, _x_pow_minus_one(self.field, self.n)).degree == 0
+        return gcd(c, x_pow_minus_one(self.field, self.n)).degree == 0
 
 
-def _x_pow_minus_one(field: Field, n: int) -> Poly:
-    return Poly(field, (field.neg(1),) + (0,) * (n - 1) + (1,))
+def _circulant_index(n: int) -> np.ndarray:
+    """Entry (i, j) of an n-circulant is first_row[(j - i) % n]."""
+    i = np.arange(n)
+    return (i[None, :] - i[:, None]) % n
 
 
 def x_pow_minus_one(field: Field, n: int) -> Poly:
     """X^n - 1 over the given field."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _x_pow_minus_one(field, n)
+    return Poly(field, (field.neg(1),) + (0,) * (n - 1) + (1,))
 
 
 def circulant_of_stacked(lr: LinearRule) -> Circulant:
@@ -262,13 +263,11 @@ def circulant_of_stacked(lr: LinearRule) -> Circulant:
     A structural violation would mean an implementation bug, not bad input.
     """
     s = stacked_matrix(lr).data
-    n = s.shape[0]
-    first = tuple(int(v) for v in s[0])
-    for i in range(n):
-        for j in range(n):
-            if s[i, j] != first[(j - i) % n]:
-                raise RuntimeError(f"stacked matrix is not circulant at ({i}, {j})")
-    return Circulant(lr.field, first)
+    bad = np.argwhere(s != s[0][_circulant_index(s.shape[0])])
+    if bad.size:
+        i, j = bad[0]
+        raise RuntimeError(f"stacked matrix is not circulant at ({i}, {j})")
+    return Circulant(lr.field, tuple(int(v) for v in s[0]))
 
 
 def pbca_transition_matrix(lr: LinearRule, n: int) -> Circulant:

@@ -2,20 +2,30 @@
 
 Coefficients are stored in ascending degree order (``coeffs[i]`` multiplies
 X^i) and normalized so the last coefficient is nonzero; the zero polynomial
-has an empty coefficient tuple and degree -inf.  A bitmask fast path over
-GF(2) backs the large gcd counts.
+has an empty coefficient tuple and degree -inf.
+
+GF(2)[X] arithmetic lives in one place: the bitmask routines below
+(``mask_mul``, ``mask_divmod``, ``mask_gcd``, ``mask_is_irreducible``).  GF(2)
+``gcd`` and ``is_irreducible`` and the GF(2^k) field multiplication all run on
+them; the coefficient-tuple code is the path for q > 2.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from typing import TYPE_CHECKING
 
-from .fields import Field
+if TYPE_CHECKING:  # fields imports the mask routines from here
+    from .fields import Field
 
 NEG_INF = float("-inf")
 
 ENUMERATION_CAP = 1 << 20  # largest q^m the exhaustive irreducibility oracle will scan
+# Highest degree parse_poly accepts; it bounds the work of one `poly` query.
+# Rabin's test is cubic in the degree: at degree 509 it took 0.1 s over GF(2)
+# on bitmasks and 165 s over GF(3) on coefficient tuples (2-core host).
+MAX_PARSE_DEGREE = 512
 
 
 class Poly:
@@ -217,6 +227,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(a, 0) = monic(a)."""
     if a.field != b.field:
         raise ValueError("operands live in different fields")
+    if a.field.q == 2:
+        return Poly.from_mask(a.field, mask_gcd(a.to_mask(), b.to_mask()))
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     while not b.is_zero:
@@ -252,25 +264,20 @@ def _prime_factors(n: int):
 
 def is_irreducible(a: Poly) -> bool:
     """Deterministic Rabin criterion for irreducibility over GF(q)."""
+    if a.field.q == 2:
+        return mask_is_irreducible(a.to_mask())
     m = a.degree
     if m is NEG_INF or m < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    if m == 1:
-        return True
-    f = a.field
-    q = f.q
-    x = Poly.x(f)
-    for r in _prime_factors(m):
-        # X^(q^(m/r)) - X must be coprime with a
-        h = x
-        for _ in range(m // r):
-            h = pow_mod(h, q, a)
-        if gcd(h - x, a).degree != 0:
-            return False
+    # the chain and checkpoints of mask_is_irreducible, on coefficient tuples
+    x = Poly.x(a.field) % a
+    checkpoints = {m // r for r in _prime_factors(m)}
     h = x
-    for _ in range(m):
-        h = pow_mod(h, q, a)
-    return h == x % a
+    for k in range(1, m + 1):
+        h = pow_mod(h, a.field.q, a)
+        if k in checkpoints and gcd(h - x, a).degree != 0:
+            return False
+    return h == x
 
 
 def _all_polys_of_degree(field: Field, m: int, monic: bool):
@@ -306,9 +313,10 @@ def irreducibles_of_degree(field: Field, m: int) -> list[Poly]:
     return out
 
 
-# -- GF(2) bitmask fast path ---------------------------------------------------
-# Polynomials over GF(2) as plain ints, bit i = coefficient of X^i.  Used by the
-# large linear-rule counts; cross-validated against Poly in the tests.
+# -- GF(2)[X] on bitmasks -------------------------------------------------------
+# Polynomials over GF(2) as plain ints, bit i = coefficient of X^i.  The only
+# GF(2)[X] arithmetic in the package; cross-validated against tuple oracles in
+# the tests.
 
 
 def mask_mul(a: int, b: int) -> int:
@@ -341,6 +349,22 @@ def mask_gcd(a: int, b: int) -> int:
     return a
 
 
+def mask_is_irreducible(f: int) -> bool:
+    """Rabin's test over GF(2): one chain of X^(2^k) mod f, coprime to f with
+    X^(2^k) - X at k = m/r for each prime r | m, and X^(2^m) = X mod f."""
+    m = f.bit_length() - 1
+    if m < 1:
+        raise ValueError("irreducibility is defined for degree >= 1")
+    x = mask_divmod(0b10, f)[1]
+    checkpoints = {m // r for r in _prime_factors(m)}
+    h = x
+    for k in range(1, m + 1):
+        h = mask_divmod(mask_mul(h, h), f)[1]
+        if k in checkpoints and mask_gcd(f, h ^ x) != 1:
+            return False
+    return h == x
+
+
 # -- parsing and formatting ----------------------------------------------------
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$|^(\d+)$")
@@ -351,24 +375,28 @@ def parse_poly(field: Field, text: str) -> Poly:
 
     Monomials are '+'-separated, case-insensitive, in any order; coefficients
     are written "c*x^i" (the '*' may be omitted).  The compact form lists
-    ascending-degree coefficients.
+    ascending-degree coefficients.  A term above degree MAX_PARSE_DEGREE is
+    rejected before any coefficient list is built.
     """
     s = text.strip().lower().replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
     if field.q == 2 and re.fullmatch(r"[01]+", s):
-        return Poly(field, (int(c) for c in s))
-    coeffs: dict[int, int] = {}
-    for term in s.split("+"):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-        if m.group(3) is not None:
-            c, e = int(m.group(3)), 0
-        else:
-            c = int(m.group(1)) if m.group(1) else 1
-            e = int(m.group(2)) if m.group(2) else 1
-        field.check(c)
-        coeffs[e] = field.add(coeffs.get(e, 0), c)
-    n = max(coeffs) + 1
+        coeffs = {i: 1 for i, c in enumerate(s) if c == "1"}
+    else:
+        coeffs = {}
+        for term in s.split("+"):
+            m = _TERM_RE.match(term)
+            if not m:
+                raise ValueError(f"cannot parse polynomial term {term!r}")
+            if m.group(3) is not None:
+                c, e = int(m.group(3)), 0
+            else:
+                c = int(m.group(1)) if m.group(1) else 1
+                e = int(m.group(2)) if m.group(2) else 1
+            field.check(c)
+            coeffs[e] = field.add(coeffs.get(e, 0), c)
+    n = max(coeffs, default=-1) + 1
+    if n > MAX_PARSE_DEGREE + 1:
+        raise ValueError(f"term x^{n - 1} exceeds the degree cap of {MAX_PARSE_DEGREE}")
     return Poly(field, (coeffs.get(i, 0) for i in range(n)))

@@ -161,7 +161,7 @@ class LocalRule:
             coeffs = tuple(int(a.coeffs[1 << (d - i)]) for i in range(1, d + 1))
             return LinearRule(f, coeffs), constant
         # strip the constant, then check f0(x + y) = f0(x) + f0(y) exhaustively
-        shift = np.vectorize(lambda v: f.sub(int(v), constant))(self.table)
+        shift = self.table ^ constant if f.p == 2 else (self.table.astype(np.int64) - constant) % f.p
         coeffs = tuple(int(shift[q ** (d - i)]) for i in range(1, d + 1))
         if LinearRule(f, coeffs).to_rule().table.tobytes() != shift.astype(self.table.dtype).tobytes():
             return None

@@ -200,6 +200,12 @@ def test_poly_usage_errors(capsys):
     assert run(capsys, "poly", "garbage!")[0] == 2
 
 
+def test_poly_degree_cap(capsys):
+    code, out, err = run(capsys, "poly", "1+x^100000000")
+    assert code == 2 and out == ""
+    assert "x^100000000 exceeds the degree cap of 512" in err
+
+
 def test_poly_gf3(capsys):
     code, out, _ = run(capsys, "poly", "2+x+x^2", "--field", "GF(3)")
     assert code == 0

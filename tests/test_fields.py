@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from soca_kit.fields import DEFAULT_MODULI, Field, GF2, GF3, is_prime, parse_field
+from soca_kit.polynomials import irreducibles_of_degree
 
 GF4 = Field(2, 2, (1, 1, 1))  # modulus 1 + x + x^2
 
@@ -75,6 +76,18 @@ def test_default_moduli_are_irreducible_degree_k():
                 rem.pop()
             assert any(rem), f"default modulus for k={k} divisible by {cand_mask:b}"
         assert mask == sum(c << i for i, c in enumerate(f.modulus))
+
+
+def test_explicit_modulus_accepted_iff_irreducible():
+    for k in range(2, 9):
+        irreducible = {p.coeffs for p in irreducibles_of_degree(GF2, k)}
+        for lower in itertools.product((0, 1), repeat=k):
+            mod = lower + (1,)
+            if mod in irreducible:
+                assert Field(2, k, mod).modulus == mod
+            else:
+                with pytest.raises(ValueError):
+                    Field(2, k, mod)
 
 
 def test_gf2_and_gf3_tables():

@@ -188,6 +188,14 @@ def test_circulant_of_stacked_structure_holds_broadly():
                 assert c.to_matrix() == stacked_matrix(lr)
 
 
+def test_circulant_of_stacked_rejects_a_broken_stack(monkeypatch):
+    data = stacked_matrix(R150).data.copy()
+    data[2, 1] ^= 1
+    monkeypatch.setattr("soca_kit.matrices.stacked_matrix", lambda lr: Matrix(GF2, data))
+    with pytest.raises(RuntimeError, match=r"not circulant at \(2, 1\)"):
+        circulant_of_stacked(R150)
+
+
 def test_circulant_rows_are_shifted_polynomials():
     rng = random.Random(41)
     for f in (GF2, GF3, GF4):

@@ -4,9 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soca_kit.fields import Field, GF2, GF3
 from soca_kit.polynomials import (
+    MAX_PARSE_DEGREE,
     Poly,
     gcd,
     irreducibles_of_degree,
@@ -122,7 +124,8 @@ def test_irreducibles_of_degree_examples():
 
 
 def test_rabin_agrees_with_trial_division_oracle():
-    for field, max_deg in ((GF2, 8), (GF3, 4)):
+    # over GF(2) this is the mask Rabin test against the tuple trial division
+    for field, max_deg in ((GF2, 10), (GF3, 6), (GF4, 4)):
         for m in range(1, max_deg + 1):
             table = set(p.coeffs for p in irreducibles_of_degree(field, m))
             for lower in itertools.product(range(field.q), repeat=m):
@@ -143,6 +146,14 @@ def test_pow():
     assert P(GF2, 1, 1) ** 0 == Poly.one(GF2)
 
 
+def tuple_euclid_gf2(a: Poly, b: Poly) -> Poly:
+    """Reference gcd over GF(2) by Euclid on coefficient tuples (every nonzero
+    GF(2) polynomial is monic)."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a
+
+
 def test_mask_ops_agree_with_poly():
     rng = random.Random(5)
     for _ in range(300):
@@ -154,7 +165,24 @@ def test_mask_ops_agree_with_poly():
             q, r = mask_divmod(a, b)
             assert (q, r) == ((pa // pb).to_mask(), (pa % pb).to_mask())
         if a or b:
-            assert mask_gcd(a, b) == gcd(pa, pb).to_mask()
+            ref = tuple_euclid_gf2(pa, pb)
+            assert mask_gcd(a, b) == ref.to_mask()
+            assert gcd(pa, pb) == ref
+
+
+_GF2_UP_TO_64 = st.integers(0, (1 << 65) - 1)  # masks of GF(2) polynomials of degree <= 64
+_GF2_FACTOR = st.integers(2, (1 << 33) - 1)  # degree 1..32, so a product has degree <= 64
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_GF2_UP_TO_64, _GF2_UP_TO_64, _GF2_FACTOR, _GF2_FACTOR)
+def test_gf2_gcd_and_irreducibility_properties(a, b, f, g):
+    pa, pb = Poly.from_mask(GF2, a), Poly.from_mask(GF2, b)
+    if a or b:
+        d = gcd(pa, pb)
+        assert d.lc == 1
+        assert (pa % d).is_zero and (pb % d).is_zero
+    assert not is_irreducible(Poly.from_mask(GF2, f) * Poly.from_mask(GF2, g))
 
 
 def test_text_roundtrip():
@@ -179,6 +207,15 @@ def test_parse_errors():
     for bad in ("", "x^", "1+*x", "y+1", "4*x"):
         with pytest.raises(ValueError):
             parse_poly(GF3, bad)
+
+
+def test_parse_degree_cap():
+    assert parse_poly(GF2, f"1+x^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+    assert parse_poly(GF2, "1" * (MAX_PARSE_DEGREE + 1)).degree == MAX_PARSE_DEGREE
+    assert parse_poly(GF2, "1" + "0" * 2 * MAX_PARSE_DEGREE) == Poly.one(GF2)  # the cap is on degree, not length
+    for field, text in ((GF2, "1+x^100000000"), (GF3, f"x^{MAX_PARSE_DEGREE + 1}+1"), (GF2, "1" * (MAX_PARSE_DEGREE + 2))):
+        with pytest.raises(ValueError, match=f"degree cap of {MAX_PARSE_DEGREE}"):
+            parse_poly(field, text)
 
 
 def test_code_order():

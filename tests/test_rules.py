@@ -154,6 +154,10 @@ def test_as_linear_general_field():
     f4 = Field(2, 2)
     lr4 = LinearRule(f4, (3, 1))
     assert lr4.to_rule().as_linear() == lr4
+    # in characteristic 2 the constant is added by XOR
+    shifted4 = LocalRule(f4, 2, [v ^ 3 for v in lr4.to_rule().table])
+    assert shifted4.as_linear() is None
+    assert shifted4.as_affine() == (lr4, 3)
 
 
 def test_complement():
