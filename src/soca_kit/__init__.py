@@ -42,6 +42,7 @@ from .checkers import (
     soca_linear_fast,
     soca_parity,
     soca_stacked_matrix,
+    soca_verdict,
 )
 from .search import (
     LinearCountReport,
@@ -102,6 +103,7 @@ __all__ = [
     "soca_linear_fast",
     "soca_parity",
     "soca_stacked_matrix",
+    "soca_verdict",
     "stacked_matrix",
     "swap_permutation_matrix",
     "sylvester_resultant",

@@ -12,7 +12,7 @@ parity of the coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .polynomials import Poly, gcd, is_irreducible
 from .rules import LinearRule, LocalRule
@@ -25,8 +25,6 @@ GCD_GENERAL = "gcd-general"
 GCD_BINARY = "gcd-binary"
 PARITY = "parity"
 IRREDUCIBLE = "irreducible-sufficient"
-
-METHODS = (BRUTEFORCE, STACKED_MATRIX, GCD_GENERAL, GCD_BINARY, PARITY, IRREDUCIBLE)
 
 
 class AuditError(RuntimeError):
@@ -107,8 +105,7 @@ def soca_parity(lr: LinearRule) -> SocaVerdict:
     where X^(d-1) + 1 = (X + 1)^(d-1).  Over GF(2) this is the parity of the
     coefficients."""
     _require_char2(lr, "the parity check")
-    m = lr.diameter - 1
-    if m < 1 or m & (m - 1):
+    if (lr.diameter - 1).bit_count() != 1:
         raise ValueError(f"the parity check needs d - 1 a power of two, got d = {lr.diameter}")
     _require_bipermutive(lr)
     if lr.polynomial()(1) != 0:
@@ -134,8 +131,7 @@ def irreducible_implies_soca(lr: LinearRule):
 def soca_stacked_matrix(lr: LinearRule) -> SocaVerdict:
     """Gaussian elimination on the stacked transition matrix."""
     _require_bipermutive(lr)
-    ok = stacked_matrix(lr).is_invertible()
-    if ok:
+    if stacked_matrix(lr).is_invertible():
         return SocaVerdict(True, STACKED_MATRIX)
     g = gcd(circulant_of_stacked(lr).poly(), x_pow_minus_one(lr.field, 2 * (lr.diameter - 1)))
     return SocaVerdict(False, STACKED_MATRIX, certificate=g)
@@ -164,31 +160,54 @@ def oca_pair_check(lr1: LinearRule, lr2: LinearRule, mode: str = "fast") -> bool
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def audit(rule: LocalRule) -> SocaVerdict:
+def _char2(lr) -> bool:
+    return lr is not None and lr.field.p == 2
+
+
+# name -> (applies(linear part, None for a nonlinear rule), method), in the
+# order audit runs them.  Only brute force reads a table; the rest read coefficients.
+METHODS = {
+    BRUTEFORCE: (lambda lr: True, soca_bruteforce),
+    STACKED_MATRIX: (lambda lr: lr is not None, soca_stacked_matrix),
+    GCD_GENERAL: (lambda lr: lr is not None, soca_linear_fast),
+    GCD_BINARY: (_char2, soca_binary_fast),
+    PARITY: (lambda lr: _char2(lr) and (lr.diameter - 1).bit_count() == 1, soca_parity),
+    IRREDUCIBLE: (lambda lr: _char2(lr) and lr.diameter > 2, irreducible_implies_soca),
+}
+# irreducible-sufficient can return no verdict, so only audit runs it.
+CHECK_METHODS = tuple(name for name in METHODS if name != IRREDUCIBLE)
+# auto takes the first that applies: the halved modulus in characteristic 2.
+AUTO = (GCD_BINARY, GCD_GENERAL, BRUTEFORCE)
+
+
+def _run(name: str, rule, lr):
+    return METHODS[name][1](rule.to_rule() if name == BRUTEFORCE else lr)
+
+
+def soca_verdict(rule, method: str = "auto") -> SocaVerdict:
+    """Verdict of ``auto`` or one of CHECK_METHODS on a LocalRule or a
+    LinearRule; a LinearRule's table is built only for brute force."""
+    lr = rule.as_linear()
+    if method == "auto":
+        method = next(name for name in AUTO if METHODS[name][0](lr))
+    if lr is None and method != BRUTEFORCE:
+        raise ValueError(f"method {method} applies to linear rules only")
+    return _run(method, rule, lr)
+
+
+def audit(rule) -> SocaVerdict:
     """Run every applicable method and demand one unanimous answer.
 
-    Brute force always runs.  When the rule is affine, the algebraic methods
-    run on its linear part: adding a constant to every output only relabels
-    the square's symbols, which cannot change self-orthogonality.
+    Brute force always runs, on a LocalRule or a LinearRule's table.  When the
+    rule is affine, the algebraic methods run on its linear part: adding a
+    constant to every output only relabels the square's symbols, which cannot
+    change self-orthogonality.
     """
-    verdicts = [soca_bruteforce(rule)]
     affine = rule.as_affine()
-    if affine is not None:
-        lr = affine[0]
-        verdicts.append(soca_stacked_matrix(lr))
-        verdicts.append(soca_linear_fast(lr))
-        if lr.field.p == 2:
-            verdicts.append(soca_binary_fast(lr))
-            m = lr.diameter - 1
-            if m >= 1 and not m & (m - 1):
-                verdicts.append(soca_parity(lr))
-            if lr.diameter > 2:
-                irr = irreducible_implies_soca(lr)
-                if irr is not None:
-                    verdicts.append(irr)
-    answers = {v.verdict for v in verdicts}
-    if len(answers) > 1:
+    lr = affine[0] if affine else None
+    verdicts = [_run(name, rule, lr) for name, (applies, _) in METHODS.items() if applies(lr)]
+    verdicts = [v for v in verdicts if v is not None]
+    if len({v.verdict for v in verdicts}) > 1:
         detail = ", ".join(f"{v.method}={v.verdict}" for v in verdicts)
         raise AuditError(f"methods disagree: {detail}")
-    first = verdicts[0]
-    return SocaVerdict(first.verdict, first.method, certificate=first.certificate, log=tuple(verdicts))
+    return replace(verdicts[0], log=tuple(verdicts))

@@ -104,7 +104,7 @@ class Field:
         return range(self.q)
 
     def check(self, a: int) -> int:
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
+        if not isinstance(a, (int, np.integer)) or isinstance(a, bool) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of {self.descriptor()}")
         return int(a)
 

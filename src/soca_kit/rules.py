@@ -137,6 +137,11 @@ class LocalRule:
             raise ValueError("the algebraic normal form is defined for binary rules only")
         return Anf(self.diameter, mobius_transform(self.table))
 
+    def to_rule(self) -> "LocalRule":
+        """The rule itself: a LocalRule already is its lookup table (see
+        LinearRule.to_rule)."""
+        return self
+
     def as_linear(self):
         """The LinearRule computing the same table, or None.
 
@@ -191,6 +196,14 @@ class LinearRule:
     def polynomial(self) -> Poly:
         """Associated polynomial a_1 + a_2 X + ... + a_d X^(d-1)."""
         return Poly(self.field, self.coeffs)
+
+    def as_linear(self) -> "LinearRule":
+        """The rule itself, as LocalRule.as_linear reads it off a table."""
+        return self
+
+    def as_affine(self) -> tuple["LinearRule", int]:
+        """(self, 0), as LocalRule.as_affine reads it off a table."""
+        return self, 0
 
     def __call__(self, *neighborhood) -> int:
         if len(neighborhood) == 1 and not isinstance(neighborhood[0], (int, np.integer)):

@@ -56,7 +56,7 @@ def _latin_maps(field: Field) -> tuple[tuple[int, ...], ...]:
     argument, i.e. every Latin square of order q, in lexicographic order."""
     q = field.q
     if q > 4:
-        raise ScaleGuardError(f"bipermutive enumeration is capped at q <= 4, got q = {q}")
+        raise ValueError(f"bipermutive enumeration is capped at q <= 4, got q = {q}")
     out = []
 
     def extend(rows):
@@ -296,7 +296,7 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
     """Brute-force every bipermutive rule of diameter d for self-orthogonality."""
     t0 = time.perf_counter()
     if q not in (2, 3):
-        raise ScaleGuardError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
+        raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
     total, hits, stats = _scan_indices(field, d, workers, force)
     n_linear = n_affine = 0
@@ -327,7 +327,7 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
 def find_nonlinear_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> list[LocalRule]:
     """Self-orthogonal rules that are not even affine; expected empty for d <= 6."""
     if q not in (2, 3):
-        raise ScaleGuardError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
+        raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
     _, hits, _ = _scan_indices(field, d, workers, force)
     rules = (_rule_from_index(field, d, index) for index in hits)

@@ -1,11 +1,16 @@
 """Verdict layer: brute force vs the algebraic characterizations."""
 
+import argparse
 import itertools
 
 import pytest
 
+from soca_kit import cli
 from soca_kit.checkers import (
+    CHECK_METHODS,
+    METHODS,
     AuditError,
+    SocaVerdict,
     audit,
     irreducible_implies_soca,
     oca_pair_check,
@@ -15,6 +20,7 @@ from soca_kit.checkers import (
     soca_linear_fast,
     soca_parity,
     soca_stacked_matrix,
+    soca_verdict,
 )
 from soca_kit.fields import Field, GF2, GF3
 from soca_kit.polynomials import Poly
@@ -223,3 +229,64 @@ def test_verdict_serialization():
     vb = soca_bruteforce(LocalRule.from_wolfram(90, 3))
     db = vb.as_dict()
     assert db["method"] == "bruteforce" and len(db["certificate"]) == 2
+
+
+def test_audit_linear_rule_equals_audit_of_its_table():
+    rules = [lr for d in range(2, 7) for lr in binary_linear_rules(d)]
+    rules += list(gf3_linear_bipermutive(3))
+    for lr in rules:
+        assert audit(lr) == audit(lr.to_rule())
+
+
+# -- the method registry ---------------------------------------------------------
+
+
+def _check_method_choices():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in sub.choices["check"]._actions if a.dest == "method").choices)
+
+
+def test_check_choices_come_from_the_registry():
+    assert _check_method_choices() == ("auto", *CHECK_METHODS)
+    assert set(CHECK_METHODS) == set(METHODS) - {"irreducible-sufficient"}
+
+
+def test_auto_and_audit_dispatch_through_the_registry(monkeypatch, capsys):
+    seen = []
+
+    def stub(lr):
+        seen.append(lr)
+        return SocaVerdict(True, "stub")
+
+    lr = LinearRule(GF2, (1, 1, 1))
+    monkeypatch.setitem(METHODS, "gcd-binary", (lambda lr: lr is not None, stub))
+    assert cli.main(["check", "--linear", "1,1,1"]) == 0
+    assert "method: stub" in capsys.readouterr().out
+    assert [e.method for e in audit(lr).log] == [
+        "bruteforce", "stacked-matrix", "gcd-general", "stub", "parity", "irreducible-sufficient",
+    ]
+    assert seen == [lr, lr]
+    # auto takes the next preference once the registry says gcd-binary does not apply
+    monkeypatch.setitem(METHODS, "gcd-binary", (lambda lr: False, stub))
+    assert cli.main(["check", "--linear", "1,1,1"]) == 0
+    assert "method: gcd-general" in capsys.readouterr().out
+    assert "stub" not in {e.method for e in audit(lr).log}
+    assert soca_verdict(LocalRule.from_wolfram(105, 3)).method == "bruteforce"  # affine, not linear
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--linear", "1,1,1,1", "--method", "parity"), "the parity check needs d - 1 a power of two, got d = 4"),
+        (("--linear", "1,1,1", "--field", "GF(3)", "--method", "gcd-binary"),
+         "the halved-modulus check needs a field of characteristic 2"),
+        (("--wolfram", "30", "-d", "3", "--method", "gcd-general"), "method gcd-general applies to linear rules only"),
+        (("--wolfram", "105", "-d", "3", "--method", "stacked-matrix"),
+         "method stacked-matrix applies to linear rules only"),
+    ],
+)
+def test_inapplicable_method_exits_2(capsys, argv, message):
+    assert cli.main(["check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

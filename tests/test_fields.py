@@ -152,6 +152,9 @@ def test_element_validation():
     with pytest.raises(ValueError):
         GF3.check(-1)
     assert GF3.check(2) == 2
+    for flag in (True, False):  # bool is an int subclass, but not a field element
+        with pytest.raises(ValueError, match="is not an element"):
+            GF3.check(flag)
 
 
 def test_descriptor_roundtrip():

@@ -10,7 +10,7 @@ import pytest
 
 from soca_kit import search
 from soca_kit.checkers import soca_bruteforce, soca_linear_fast
-from soca_kit.fields import GF2, GF3
+from soca_kit.fields import GF2, GF3, Field
 from soca_kit.polynomials import Poly, mask_gcd
 from soca_kit.rules import LinearRule
 from soca_kit.squares import cayley_table
@@ -116,8 +116,17 @@ def test_scan_guards():
         scan_soca(7)
     with pytest.raises(ScaleGuardError):
         scan_soca(4, q=3)
-    with pytest.raises(ScaleGuardError):
+    with pytest.raises(ValueError, match=r"support q in \{2, 3\}, got q = 5") as exc:
         scan_soca(3, q=5)
+    assert not isinstance(exc.value, ScaleGuardError)
+
+
+def test_alphabet_refusals_are_not_scale_guards():
+    # --i-know cannot lift these, so they must not read as desk-scale guards
+    for call in (lambda: find_nonlinear_soca(3, q=4), lambda: rule_space_size(Field(5), 3)):
+        with pytest.raises(ValueError, match="got q = [45]") as exc:
+            call()
+        assert not isinstance(exc.value, ScaleGuardError)
 
 
 def test_scan_worker_determinism():
