@@ -50,7 +50,6 @@ from .search import (
     ScanReport,
     count_linear_soca,
     enumerate_bipermutive,
-    enumerate_bipermutive_binary,
     find_nonlinear_soca,
     rule_space_size,
     scan_soca,
@@ -82,7 +81,6 @@ __all__ = [
     "circulant_of_stacked",
     "count_linear_soca",
     "enumerate_bipermutive",
-    "enumerate_bipermutive_binary",
     "find_nonlinear_soca",
     "gcd",
     "irreducible_implies_soca",

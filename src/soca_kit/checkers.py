@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .polynomials import Poly, gcd, is_irreducible
 from .rules import LinearRule, LocalRule
 from .matrices import circulant_of_stacked, pbca_transition_matrix, stacked_matrix, x_pow_minus_one
-from .squares import cayley_table, check_orthogonal, is_latin
+from .squares import cayley_table, check_orthogonal, is_latin, require_grid_fits
 
 BRUTEFORCE = "bruteforce"
 STACKED_MATRIX = "stacked-matrix"
@@ -156,6 +156,7 @@ def oca_pair_check(lr1: LinearRule, lr2: LinearRule, mode: str = "fast") -> bool
     if mode == "fast":
         return gcd(lr1.polynomial(), lr2.polynomial()).degree == 0
     if mode == "bruteforce":
+        require_grid_fits(lr1.field, lr1.diameter)
         return check_orthogonal(cayley_table(lr1.to_rule()), cayley_table(lr2.to_rule()))[0]
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -181,6 +182,8 @@ AUTO = (GCD_BINARY, GCD_GENERAL, BRUTEFORCE)
 
 
 def _run(name: str, rule, lr):
+    if name == BRUTEFORCE:
+        require_grid_fits(rule.field, rule.diameter)
     return METHODS[name][1](rule.to_rule() if name == BRUTEFORCE else lr)
 
 

@@ -21,7 +21,7 @@ from .fields import Field, parse_field
 from .polynomials import Poly, gcd, is_irreducible, parse_poly
 from .rules import MAX_TABLE_CELLS, LinearRule, LocalRule
 from .matrices import x_pow_minus_one
-from .squares import cayley_table, superposition_text
+from .squares import cayley_table, require_grid_fits, superposition_text
 
 TABLE1_COMMENT = (
     "d=6 has 2^16 = 65536 bipermutive rules; the figure 65,336 seen in one "
@@ -193,6 +193,8 @@ def _verdict_json(rule_text: str, rule: LocalRule | LinearRule, v: checkers.Soca
 def _cmd_check(args) -> int:
     field = parse_field(args.field)
     rule, rule_text = _parse_rule(args, field)
+    if args.show_square:
+        require_grid_fits(rule.field, rule.diameter)
     if getattr(args, "audit", False) or args.command == "audit":
         verdict = checkers.audit(rule)
     else:

@@ -7,6 +7,10 @@ ground-truth oracle, while circulants go through their associated polynomial
 (the first row read as coefficients of c(X) in GF(q)[X]/(X^n - 1), a ring
 isomorphism), where invertibility means gcd(c(X), X^n - 1) = 1.  Both paths
 are kept so they can be audited against each other.
+
+Entries are combined by the ``Field`` array methods, so one elimination
+serves every field with q > 2.  GF(2) keeps its own, on rows packed into
+Python ints (one XOR per row operation), which is 3-4x faster.
 """
 
 from __future__ import annotations
@@ -71,12 +75,9 @@ class Matrix:
         """Full rank by Gaussian elimination (square matrices only)."""
         if self.rows != self.cols:
             raise ValueError("invertibility requires a square matrix")
-        f = self.field
-        if f.q == 2:
+        if self.field.q == 2:
             return _invertible_gf2(self.data)
-        if f.k == 1:
-            return _invertible_prime(self.data, f.p)
-        return _invertible_char2(self.data, f)
+        return _invertible(self.data, self.field)
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(v) for v in row) for row in self.data.tolist()) + "\n"
@@ -88,15 +89,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("operands live in different fields")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    f = a.field
-    if f.k == 1:
-        return Matrix(f, (a.data @ b.data) % f.p)
-    mul = f.mul_table
-    prod = np.bitwise_xor.reduce(mul[a.data[:, :, None], b.data[None, :, :]], axis=1)
-    return Matrix(f, prod)
+    return Matrix(a.field, a.field.matmul_array(a.data, b.data))
 
 
 def _invertible_gf2(data: np.ndarray) -> bool:
+    # Rows as bitmasks: _invertible over GF(2) took 2.9-4.0x as long on the
+    # stacked matrices of d = 8..40 (n = 14..78).
     n = data.shape[0]
     rows = [int.from_bytes(np.packbits(r.astype(np.uint8), bitorder="little").tobytes(), "little") for r in data]
     for c in range(n):
@@ -111,24 +109,8 @@ def _invertible_gf2(data: np.ndarray) -> bool:
     return True
 
 
-def _invertible_prime(data: np.ndarray, p: int) -> bool:
-    a = data.copy() % p
-    n = a.shape[0]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i, c]), None)
-        if piv is None:
-            return False
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-        a[c] = a[c] * pow(int(a[c, c]), p - 2, p) % p
-        rest = np.flatnonzero(a[:, c])
-        rest = rest[rest != c]
-        a[rest] = (a[rest] - np.outer(a[rest, c], a[c])) % p
-    return True
-
-
-def _invertible_char2(data: np.ndarray, f: Field) -> bool:
-    mul, inv = f.mul_table, f.inv_table
+def _invertible(data: np.ndarray, f: Field) -> bool:
+    """Gauss-Jordan elimination over any GF(q), entries through Field arrays."""
     a = data.copy()
     n = a.shape[0]
     for c in range(n):
@@ -138,10 +120,10 @@ def _invertible_char2(data: np.ndarray, f: Field) -> bool:
         if piv != c:
             a[[c, piv]] = a[[piv, c]]
         if a[c, c] != 1:
-            a[c] = mul[inv[a[c, c]], a[c]]
+            a[c] = f.mul_array(f.inv_array(a[c, c]), a[c])
         rest = np.flatnonzero(a[:, c])
         rest = rest[rest != c]
-        a[rest] ^= mul[a[rest, c][:, None], a[c][None, :]]
+        a[rest] = f.sub_array(a[rest], f.mul_array(a[rest, c][:, None], a[c][None, :]))
     return True
 
 
@@ -149,12 +131,7 @@ def swap_permutation_matrix(field: Field, n: int) -> Matrix:
     """Permutation exchanging the first and second halves of a length-n vector."""
     if n % 2:
         raise ValueError(f"half-swap needs an even size, got {n}")
-    m = np.zeros((n, n), dtype=np.int64)
-    h = n // 2
-    for i in range(h):
-        m[i, h + i] = 1
-        m[h + i, i] = 1
-    return Matrix(field, m)
+    return Matrix(field, np.roll(np.eye(n, dtype=np.int64), n // 2, axis=1))
 
 
 def transition_matrix(lr: LinearRule, n: int) -> Matrix:
@@ -203,12 +180,6 @@ class Circulant:
     @property
     def n(self) -> int:
         return len(self.first_row)
-
-    @classmethod
-    def from_poly(cls, p: Poly, n: int) -> "Circulant":
-        if p.degree >= n:
-            raise ValueError(f"degree {p.degree} does not fit in a {n}-circulant")
-        return cls(p.field, tuple(p[i] for i in range(n)))
 
     def __str__(self):
         return "circulant:" + ",".join(str(c) for c in self.first_row)

@@ -166,7 +166,7 @@ class LocalRule:
             coeffs = tuple(int(a.coeffs[1 << (d - i)]) for i in range(1, d + 1))
             return LinearRule(f, coeffs), constant
         # strip the constant, then check f0(x + y) = f0(x) + f0(y) exhaustively
-        shift = self.table ^ constant if f.p == 2 else (self.table.astype(np.int64) - constant) % f.p
+        shift = f.sub_array(self.table.astype(np.int64), constant)
         coeffs = tuple(int(shift[q ** (d - i)]) for i in range(1, d + 1))
         if LinearRule(f, coeffs).to_rule().table.tobytes() != shift.astype(self.table.dtype).tobytes():
             return None
@@ -215,29 +215,29 @@ class LinearRule:
         return acc
 
     def to_rule(self) -> LocalRule:
-        """Materialize the lookup table (chunked; cap MAX_TABLE_CELLS entries)."""
+        """Materialize the lookup table (cap MAX_TABLE_CELLS entries).  Past
+        _CHUNK entries it is the sum of two partial tables, over the leading
+        and over the trailing half of the neighborhood, a block at a time."""
         f, q, d = self.field, self.field.q, self.diameter
-        size = q**d
-        if size > MAX_TABLE_CELLS:
+        if q**d > MAX_TABLE_CELLS:
             raise ValueError(f"table of {q}^{d} entries exceeds the size cap")
-        table = np.empty(size, dtype=_table_dtype(q))
-        powers = [q ** (d - 1 - s) for s in range(d)]
-        for lo in range(0, size, _CHUNK):
-            idx = np.arange(lo, min(lo + _CHUNK, size), dtype=np.int64)
-            if f.k == 1:
-                acc = np.zeros(idx.shape, dtype=np.int64)
-                for a, pw in zip(self.coeffs, powers):
-                    if a:
-                        acc += a * ((idx // pw) % q)
-                table[lo : lo + idx.size] = acc % f.p
-            else:
-                acc = np.zeros(idx.shape, dtype=np.int64)
-                mul = f.mul_table
-                for a, pw in zip(self.coeffs, powers):
-                    if a:
-                        acc ^= mul[a, (idx // pw) % q]
-                table[lo : lo + idx.size] = acc
-        return LocalRule(f, d, table)
+        if q**d <= _CHUNK:
+            return LocalRule(f, d, _partial_sums(f, self.coeffs))
+        high, low = _partial_sums(f, self.coeffs[: d // 2]), _partial_sums(f, self.coeffs[d // 2 :])
+        table = np.empty((high.size, low.size), dtype=_table_dtype(q))
+        rows = max(_CHUNK // low.size, 1)
+        for lo in range(0, high.size, rows):
+            table[lo : lo + rows] = f.add_array(high[lo : lo + rows, None], low[None, :])
+        return LocalRule(f, d, table.ravel())
+
+
+def _partial_sums(f: Field, coeffs) -> np.ndarray:
+    """a_1 x_1 + ... + a_k x_k for every (x_1, ..., x_k), x_1 most significant."""
+    products = f.mul_array(np.array(coeffs, dtype=np.int64)[:, None], np.arange(f.q))
+    acc = np.zeros(1, dtype=np.int64)
+    for row in products:
+        acc = f.add_array(acc[:, None], row).ravel()
+    return acc
 
 
 def mobius_transform(table: np.ndarray) -> np.ndarray:

@@ -111,11 +111,6 @@ def enumerate_bipermutive(field: Field, d: int, force: bool = False):
         yield _rule_from_index(field, d, index)
 
 
-def enumerate_bipermutive_binary(d: int, force: bool = False):
-    """Binary rules x_1 + g(x_2..x_{d-1}) + x_d in increasing g-table order."""
-    return enumerate_bipermutive(GF2, d, force=force)
-
-
 @dataclass(frozen=True)
 class ScanReport:
     """Census of one diameter's rule space.

@@ -146,6 +146,12 @@ class LatinSquare:
         return json.dumps(self.grid.tolist())
 
 
+def require_grid_fits(field: Field, d: int) -> None:
+    """Refuse, before any table is built, a grid over MAX_GRID_CELLS cells."""
+    if field.q ** (2 * (d - 1)) > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {field.q}^{2 * (d - 1)} cells exceeds the size cap")
+
+
 def cayley_table(rule: LocalRule, encoding: EncodingMap | None = None) -> LatinSquare:
     """Grid of the rule's no-boundary map on split inputs.
 
@@ -160,10 +166,9 @@ def cayley_table(rule: LocalRule, encoding: EncodingMap | None = None) -> LatinS
         encoding = EncodingMap(field, d - 1)
     elif encoding.field != field or encoding.m != d - 1:
         raise ValueError("encoding does not match the rule")
+    require_grid_fits(field, d)
     q, m = field.q, d - 1
     n = q**m
-    if n * n > MAX_GRID_CELLS:
-        raise ValueError(f"grid of {q}^{2 * m} cells exceeds the size cap")
     blocks, out_weights, windows = _cayley_plan(field, d, encoding.reversed_digits)
     table = rule.table.astype(np.int64, copy=False)
     if windows is not None:

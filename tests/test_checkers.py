@@ -169,6 +169,16 @@ def test_oca_pair_check():
         oca_pair_check(lr90, lr150, "sampled")
 
 
+def test_oca_pair_bruteforce_refuses_large_grids_before_tables(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a lookup table was built for a grid over the size cap")
+
+    monkeypatch.setattr(LinearRule, "to_rule", refuse)
+    lr = LinearRule(GF2, (1,) + (0,) * 22 + (1,))
+    with pytest.raises(ValueError, match="grid of 2\\^46 cells exceeds the size cap"):
+        oca_pair_check(lr, lr, "bruteforce")
+
+
 def test_oca_pairs_fast_equals_bruteforce_d4():
     rules = list(binary_linear_rules(4))
     for lr1 in rules:

@@ -234,6 +234,23 @@ def _linear_text(coeffs):
     return ",".join(map(str, coeffs))
 
 
+def test_grid_cap_refused_before_any_table(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a lookup table was built for a grid over the size cap")
+
+    monkeypatch.setattr(LinearRule, "to_rule", refuse)
+    coeffs = _linear_text((1,) + (0,) * 22 + (1,))
+    for argv in (
+        ("check", "--linear", coeffs, "--method", "bruteforce"),
+        ("audit", "--linear", coeffs),
+        ("check", "--linear", coeffs, "--audit"),
+        ("check", "--linear", coeffs, "--show-square"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: grid of 2^46 cells exceeds the size cap\n", argv
+
+
 @pytest.mark.parametrize(
     "coeffs, field, methods",
     [

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from soca_kit.fields import DEFAULT_MODULI, Field, GF2, GF3, is_prime, parse_field
@@ -144,6 +145,29 @@ def test_pow_and_div():
     assert GF3.div(1, 2) == 2
     assert GF4.pow(2, 3) == 1  # x^3 = 1 in GF(4)*
     assert GF4.pow(2, -1) == GF4.inv(2)
+
+
+@pytest.mark.parametrize(
+    "f", [GF2, GF3, Field(5), GF4, Field(2, 3), Field(2, 4)], ids=lambda f: f.descriptor()
+)
+def test_array_methods_match_scalar_ops(f):
+    """Every array method against the scalar ops, on all q^2 pairs."""
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(f.q), np.arange(f.q)))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.sub_array(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    assert f.inv_array(np.arange(1, f.q)).tolist() == [f.inv(x) for x in range(1, f.q)]
+    elems = np.arange(f.q)
+    # inner dimension 1: the product table; inner dimension q: sums of products
+    assert f.matmul_array(elems[:, None], elems[None, :]).tolist() == [
+        [f.mul(x, y) for y in range(f.q)] for x in range(f.q)
+    ]
+    m, n = a.reshape(f.q, f.q), b.reshape(f.q, f.q)
+    expected = [[0] * f.q for _ in range(f.q)]
+    for i, j, k in itertools.product(range(f.q), repeat=3):
+        expected[i][j] = f.add(expected[i][j], f.mul(int(m[i, k]), int(n[k, j])))
+    assert f.matmul_array(m, n).tolist() == expected
 
 
 def test_element_validation():

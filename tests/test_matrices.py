@@ -89,6 +89,18 @@ def test_invertibility_against_determinant_oracle():
             for _ in range(40):
                 m = random_matrix(rng, f, n, n)
                 assert m.is_invertible() == naive_det_nonzero(f, m.data.tolist()), m.data
+    # fields first served by the one elimination (GF(257): inverses past the
+    # dense-table limit); every other matrix is made singular (last row =
+    # c * row 0 + row n-2) so both verdicts occur
+    for f in (Field(5), Field(7), Field(2, 3), Field(257)):
+        for n in (1, 2, 3, 4, 5):
+            for trial in range(40):
+                rows = random_matrix(rng, f, n, n).data.tolist()
+                if trial % 2 and n > 1:
+                    c = rng.randrange(f.q)
+                    rows[-1] = [f.add(f.mul(c, x), y) for x, y in zip(rows[0], rows[n - 2])]
+                m = Matrix(f, rows)
+                assert m.is_invertible() == naive_det_nonzero(f, rows), m.data
 
 
 def test_stacked_matrix_rule150():

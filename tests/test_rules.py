@@ -1,6 +1,7 @@
 """Local rules: table conventions, permutivity, ANF, global maps."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -72,6 +73,22 @@ def test_linear_rule_extension_field():
     lr = LinearRule(f, (2, 3))
     oracle = brute_rule_table(lambda a, b: f.add(f.mul(2, a), f.mul(3, b)), f, 2)
     assert list(lr.to_rule().table) == oracle
+
+
+def test_large_linear_tables_match_scalar_evaluation():
+    # past one chunk the table is the sum of two partial tables
+    rng = random.Random(9)
+    for f, d in ((GF2, 21), (GF3, 13), (Field(2, 2), 11)):
+        lr = LinearRule(f, tuple(rng.randrange(f.q) for _ in range(d)))
+        table = lr.to_rule().table
+        for v in [0, 1, table.size - 1] + [rng.randrange(table.size) for _ in range(300)]:
+            digits = [(v // f.q ** (d - 1 - s)) % f.q for s in range(d)]
+            assert table[v] == lr(digits), (f, v)
+
+
+def test_linear_table_needs_dense_field_tables():
+    with pytest.raises(ValueError, match="no dense table"):
+        LinearRule(Field(2, 9), (1, 1)).to_rule()
 
 
 def test_permutivity():

@@ -21,7 +21,6 @@ from soca_kit.search import (
     count_linear_soca,
     count_report_to_csv,
     enumerate_bipermutive,
-    enumerate_bipermutive_binary,
     find_nonlinear_soca,
     rule_space_size,
     scan_reports_to_csv,
@@ -30,12 +29,12 @@ from soca_kit.search import (
 
 
 def test_enumeration_order_d3():
-    assert [r.wolfram_code for r in enumerate_bipermutive_binary(3)] == [90, 105, 150, 165]
+    assert [r.wolfram_code for r in enumerate_bipermutive(GF2, 3)] == [90, 105, 150, 165]
 
 
 def test_enumeration_counts_and_distinctness():
     for d in (3, 4, 5):
-        rules = list(enumerate_bipermutive_binary(d))
+        rules = list(enumerate_bipermutive(GF2, d))
         assert len(rules) == rule_space_size(GF2, d) == 1 << (1 << (d - 2))
         codes = {r.wolfram_code for r in rules}
         assert len(codes) == len(rules)
@@ -51,11 +50,11 @@ def test_enumeration_gf3():
 
 def test_enumeration_guard():
     with pytest.raises(ScaleGuardError):
-        list(enumerate_bipermutive_binary(7))
+        list(enumerate_bipermutive(GF2, 7))
     with pytest.raises(ScaleGuardError):
         list(enumerate_bipermutive(GF3, 4))
     with pytest.raises(ValueError):
-        list(enumerate_bipermutive_binary(1))
+        list(enumerate_bipermutive(GF2, 1))
 
 
 def test_scan_d3():
