@@ -158,14 +158,32 @@ class Field:
         return sum(c << i for i, c in enumerate(self.modulus))
 
     @cached_property
+    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """Antilog and log tables of GF(2^k) to the first generator g of its
+        multiplicative group: exp[i] = g^i for i < q - 1, log[exp[i]] = i
+        (log[0] is 0 and unused)."""
+        for g in range(2, self.q):
+            powers = [1]
+            while len(powers) < self.q - 1 and (x := self.mul(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == self.q - 1:
+                break
+        exp = np.array(powers, dtype=np.int64)
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(self.q - 1)
+        return exp, log
+
+    @cached_property
     def mul_table(self) -> np.ndarray:
         """Dense q-by-q multiplication table, available for q <= 256."""
         if self.q > _TABLE_LIMIT:
             raise ValueError(f"no dense table for order {self.q} > {_TABLE_LIMIT}")
-        t = np.zeros((self.q, self.q), dtype=np.int64)
-        for a in range(self.q):
-            for b in range(a, self.q):
-                t[a, b] = t[b, a] = self.mul(a, b)
+        a = np.arange(self.q)
+        if self.k == 1:
+            t = a[:, None] * a % self.p
+        else:
+            exp, log = self._exp_log
+            t = np.where((a[:, None] > 0) & (a > 0), exp[(log[:, None] + log) % (self.q - 1)], 0)
         t.flags.writeable = False
         return t
 
@@ -173,11 +191,14 @@ class Field:
     def inv_table(self) -> np.ndarray:
         """Inverse of every nonzero element (index 0 unused): q entries, so
         built for prime fields of any order, for extension fields up to 256."""
-        if self.k > 1 and self.q > _TABLE_LIMIT:
+        if self.k == 1:
+            t = np.array([0] + [pow(a, -1, self.p) for a in range(1, self.q)], dtype=np.int64)
+        elif self.q > _TABLE_LIMIT:
             raise ValueError(f"no dense table for order {self.q} > {_TABLE_LIMIT}")
-        t = np.zeros(self.q, dtype=np.int64)
-        for a in range(1, self.q):
-            t[a] = self.inv(a)
+        else:
+            exp, log = self._exp_log
+            t = exp[-log % (self.q - 1)]
+            t[0] = 0
         t.flags.writeable = False
         return t
 

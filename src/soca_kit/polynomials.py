@@ -24,8 +24,11 @@ NEG_INF = float("-inf")
 ENUMERATION_CAP = 1 << 20  # largest q^m the exhaustive irreducibility oracle will scan
 # Highest degree parse_poly accepts; it bounds the work of one `poly` query.
 # Rabin's test is cubic in the degree: at degree 509 it took 0.1 s over GF(2)
-# on bitmasks and 165 s over GF(3) on coefficient tuples (2-core host).
+# on bitmasks and 165 s over GF(3) on coefficient tuples (2-core host).  For
+# q > 2 the worst case is the largest extension field: a dense polynomial of
+# degree 23 over GF(2^16) runs the whole chain in about 2 s (GF(3): 10 ms).
 MAX_PARSE_DEGREE = 512
+MAX_PARSE_DEGREE_Q = 24
 
 
 class Poly:
@@ -375,8 +378,9 @@ def parse_poly(field: Field, text: str) -> Poly:
 
     Monomials are '+'-separated, case-insensitive, in any order; coefficients
     are written "c*x^i" (the '*' may be omitted).  The compact form lists
-    ascending-degree coefficients.  A term above degree MAX_PARSE_DEGREE is
-    rejected before any coefficient list is built.
+    ascending-degree coefficients.  A term above degree MAX_PARSE_DEGREE
+    (MAX_PARSE_DEGREE_Q for q > 2) is rejected before any coefficient list is
+    built.
     """
     s = text.strip().lower().replace(" ", "")
     if not s:
@@ -397,6 +401,8 @@ def parse_poly(field: Field, text: str) -> Poly:
             field.check(c)
             coeffs[e] = field.add(coeffs.get(e, 0), c)
     n = max(coeffs, default=-1) + 1
-    if n > MAX_PARSE_DEGREE + 1:
-        raise ValueError(f"term x^{n - 1} exceeds the degree cap of {MAX_PARSE_DEGREE}")
+    cap = MAX_PARSE_DEGREE if field.q == 2 else MAX_PARSE_DEGREE_Q
+    if n > cap + 1:
+        over = "" if field.q == 2 else " for q > 2"
+        raise ValueError(f"term x^{n - 1} exceeds the degree cap of {cap}{over}")
     return Poly(field, (coeffs.get(i, 0) for i in range(n)))

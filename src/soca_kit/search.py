@@ -10,12 +10,15 @@ function g in f = x_1 + g(x_2..x_{d-1}) + x_d, enumerated in increasing
 order.  Scans stream rules in small blocks; the rule space is never
 materialized.
 
-A scan decides rules in two stages.  A batched prefix filter evaluates, for
-a block of rule indices at once, only the grid cells in the first few rows
-and columns and rejects every rule whose superposition with the transpose
-repeats a pair there: a repeated pair in any cells already proves the square
-is not orthogonal to its transpose.  Each survivor then goes through the
-full brute-force check, so every hit is proven on the whole grid.
+A scan decides rules in three stages, the first two batched over a block of
+rule indices at once.  A repeated pair in the superposition of a square with
+its transpose, in any cells, already proves the two are not orthogonal.  The
+diagonal stage evaluates only the n cells (r, r): their pairs are (a, a), so
+a rule whose diagonal repeats a symbol is rejected (an orthogonal pair of a
+square and its transpose has a transversal as its main diagonal).  The
+prefix stage evaluates, for the rules left, the cells in the first few rows
+and columns and rejects a repeated pair there.  Each survivor then goes
+through the full brute-force check, so every hit is proven on the whole grid.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from .squares import _cayley_plan, _window_indices
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
-# Prefix filter: grid rows (and as many columns) it evaluates, and rules per
-# block.  Four rows and columns leave 28 of the 65,536 binary d=6 rules to the
-# full check; a block of 128 rules keeps the filter's arrays near 150 kB.
+# Filter: grid rows (and as many columns) the prefix stage evaluates, and
+# rules per block.  Of the 65,536 binary d=6 rules the diagonal leaves 472 and
+# four rows and columns then leave the 16 hits.
 _FILTER_ROWS = 4
-_BLOCK_RULES = 128
+_BLOCK_RULES = 1024
 
 
 class ScaleGuardError(ValueError):
@@ -73,14 +76,17 @@ def _latin_maps(field: Field) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=32)
 def _rule_plan(field: Field, d: int):
-    """Neighborhood decomposition shared by every rule of one diameter:
-    central-block index and (x_1, x_d) pair index per table position."""
+    """Decoding shared by every rule of one diameter.  A rule index is read
+    as base-L digits, one Latin map per central block (L maps); table
+    position t takes digit ``central[t]``, and its entry is
+    ``options.ravel()[offsets[t] + digit]``."""
     q = field.q
     idx = np.arange(q**d, dtype=np.int64)
     central = (idx // q) % q ** (d - 2) if d >= 2 else np.zeros(q**d, dtype=np.int64)
     pair = (idx // q ** (d - 1)) * q + idx % q
     maps = np.array(_latin_maps(field), dtype=_table_dtype(q))
-    return central, pair, maps
+    options = maps.T[pair]
+    return central, idx * options.shape[1], options
 
 
 def rule_space_size(field: Field, d: int) -> int:
@@ -89,13 +95,12 @@ def rule_space_size(field: Field, d: int) -> int:
 
 
 def _rule_from_index(field: Field, d: int, index: int) -> LocalRule:
-    central, pair, maps = _rule_plan(field, d)
-    base = maps.shape[0]
+    central, offsets, options = _rule_plan(field, d)
+    base = options.shape[1]
     digits = np.empty(field.q ** (d - 2), dtype=np.int64)
     for c in range(digits.size):
         index, digits[c] = divmod(index, base)
-    table = maps[digits[central], pair]
-    return LocalRule(field, d, table)
+    return LocalRule(field, d, options.ravel()[digits[central] + offsets])
 
 
 def enumerate_bipermutive(field: Field, d: int, force: bool = False):
@@ -121,10 +126,10 @@ class ScanReport:
     ``polynomials`` lists the associated polynomials of the strict-linear
     self-orthogonal rules, ascending by coefficient code.
     ``stats`` counts what the scan did: rules ``enumerated``, rejected by
-    the prefix filter (``prefix_rejected``) and ``fully_checked``, and the
-    seconds spent in each stage (``filter_s``, ``check_s``), summed over
-    worker chunks.  It takes no part in equality, ``key()``, ``as_dict()`` or
-    the CSV.
+    the diagonal (``diagonal_rejected``) and the prefix (``prefix_rejected``)
+    and ``fully_checked``, and the seconds spent filtering and checking
+    (``filter_s``, ``check_s``).  It takes no part in equality, ``key()``,
+    ``as_dict()`` or the CSV.
     """
 
     d: int
@@ -181,12 +186,14 @@ def scan_reports_to_csv(reports, comment: str | None = None) -> str:
 
 
 @lru_cache(maxsize=32)
-def _prefix_plan(field: Field, d: int):
-    """Grid cells the prefix filter evaluates: every cell of the first k rows,
-    then the first k columns of the remaining rows.  The set is closed under
-    transposition; ``mirror[s]`` is the position of cell s's mirror.
-    Returns the cells, their neighborhood windows and output weights (as in
-    ``squares.cayley_table``), and ``mirror``."""
+def _filter_plan(field: Field, d: int):
+    """Grid cells the filter stages evaluate, as neighborhood windows (see
+    ``squares._cayley_plan``): ``diagonal``, the n cells (r, r), and
+    ``prefix``, every cell of the first k rows and then the first k columns
+    of the other rows, at ``rows``/``cols``.  The prefix set is closed under
+    transposition; ``mirror[s]`` is the position of cell s's mirror.  Returns
+    the output weights, the diagonal and prefix windows, ``mirror``, ``rows``
+    and ``cols``."""
     q = field.q
     blocks, out_weights, _ = _cayley_plan(field, d, False)
     n = blocks.shape[0]
@@ -194,48 +201,60 @@ def _prefix_plan(field: Field, d: int):
     rows = np.concatenate([np.repeat(np.arange(k), n), np.repeat(np.arange(k, n), k)])
     cols = np.concatenate([np.tile(np.arange(n), k), np.tile(np.arange(k), n - k)])
     mirror = np.where(cols < k, cols * n + rows, k * n + (cols - k) * k + rows)
-    windows = _window_indices(np.hstack([blocks[rows], blocks[cols]]), q, d)
-    return rows, cols, windows, out_weights.astype(np.min_scalar_type(n - 1)), mirror
+    diagonal = _window_indices(np.hstack([blocks, blocks]), q, d)
+    prefix = _window_indices(np.hstack([blocks[rows], blocks[cols]]), q, d)
+    return out_weights.astype(np.min_scalar_type(n - 1)), diagonal, prefix, mirror, rows, cols
 
 
-def _prefix_codes(field: Field, d: int, lo: int, hi: int):
-    """Lookup tables of the rules lo..hi-1, one per row, and the codes
-    A[r, c] * n + A[c, r] of their superposition pairs on the prefix plan's
-    cells (0-based symbols).  Two equal codes in a row prove that rule's
-    square is not orthogonal to its transpose.
-
-    Symbols and codes use the narrowest unsigned type that holds n - 1 and
-    n^2 - 1 (uint8 and uint16 at d = 6): einsum casts the gathered windows,
-    the largest array here, to its accumulator type."""
-    central, pair, maps = _rule_plan(field, d)
-    _, _, windows, weights, mirror = _prefix_plan(field, d)
-    n = field.q ** (d - 1)
-    base = maps.shape[0]
-    idx = np.arange(lo, hi, dtype=np.int64)
+def _block_tables(field: Field, d: int, lo: int, hi: int) -> np.ndarray:
+    """Lookup tables of the rules lo..hi-1, one per row, in one gather."""
+    central, offsets, options = _rule_plan(field, d)
+    base = options.shape[1]
     powers = base ** np.arange(field.q ** (d - 2), dtype=np.int64)
+    idx = np.arange(lo, hi, dtype=np.int64)
     digits = (idx[:, None] // powers % base).astype(np.min_scalar_type(base - 1))
-    tables = maps[digits[:, central], pair]
-    symbols = np.einsum("bst,t->bs", tables[:, windows], weights, dtype=weights.dtype)
-    code = np.min_scalar_type(n * n - 1).type
-    return tables, symbols.astype(code) * code(n) + symbols[:, mirror]
+    return options.ravel()[digits[:, central] + offsets]
 
 
-def _scan_chunk(args) -> tuple[list[int], dict]:
-    """Self-orthogonal rule indices in start..stop-1, and the chunk's stats."""
-    field, d, start, stop = args
+def _filter_codes(field: Field, d: int, tables: np.ndarray, prefix: bool) -> np.ndarray:
+    """One row per table: the codes A[r, c] * n + A[c, r] of the superposition
+    pairs on the prefix cells, or on the diagonal the symbols A[r, r] (the
+    pair (a, a) coded as a).  Two equal codes in a row prove that rule's
+    square is not orthogonal to its transpose.  Symbols are 0-based and keep
+    the narrowest unsigned type through einsum, which casts the gathered
+    windows, the largest array here, to its accumulator type.  Codes are at
+    least uint16, which numpy sorts many times faster than uint8."""
+    weights, diagonal, cells, mirror = _filter_plan(field, d)[:4]
+    n = field.q ** (d - 1)
+    code = np.promote_types(np.uint16, np.min_scalar_type(n * n - 1)).type
+    windows = cells if prefix else diagonal
+    symbols = np.einsum("bst,t->bs", tables[:, windows], weights, dtype=weights.dtype).astype(code)
+    return symbols * code(n) + symbols[:, mirror] if prefix else symbols
+
+
+def _repeats(codes: np.ndarray) -> np.ndarray:
+    """Whether each row repeats a code; sorts the rows in place."""
+    codes.sort(axis=1)
+    return (codes[:, 1:] == codes[:, :-1]).any(axis=1)
+
+
+def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int], dict]:
+    """Self-orthogonal rule indices in start..stop-1, and the scan's stats."""
     hits = []
-    stats = dict(enumerated=stop - start, prefix_rejected=0, fully_checked=0, filter_s=0.0, check_s=0.0)
+    stats = dict(enumerated=stop - start, diagonal_rejected=0, prefix_rejected=0, fully_checked=0,
+                 filter_s=0.0, check_s=0.0)
     for lo in range(start, stop, _BLOCK_RULES):
         t0 = time.perf_counter()
-        tables, codes = _prefix_codes(field, d, lo, min(lo + _BLOCK_RULES, stop))
-        codes.sort(axis=1)
-        survivors = np.flatnonzero(~(codes[:, 1:] == codes[:, :-1]).any(axis=1))
+        tables = _block_tables(field, d, lo, min(lo + _BLOCK_RULES, stop))
+        kept = np.flatnonzero(~_repeats(_filter_codes(field, d, tables, prefix=False)))
+        survivors = kept[~_repeats(_filter_codes(field, d, tables[kept], prefix=True))]
         t1 = time.perf_counter()
         for b in survivors.tolist():
             if soca_bruteforce(LocalRule(field, d, tables[b])).verdict:
                 hits.append(lo + b)
         t2 = time.perf_counter()
-        stats["prefix_rejected"] += len(tables) - len(survivors)
+        stats["diagonal_rejected"] += len(tables) - len(kept)
+        stats["prefix_rejected"] += len(kept) - len(survivors)
         stats["fully_checked"] += len(survivors)
         stats["filter_s"] += t1 - t0
         stats["check_s"] += t2 - t1
@@ -257,24 +276,16 @@ def _chunks(total: int, workers: int):
 
 
 def _scan_indices(field: Field, d: int, workers: int, force: bool) -> tuple[int, list[int], dict]:
-    workers = _worker_count(workers)
+    # ``workers`` is validated but unused: one process scans d = 6 in well
+    # under a tenth of a second, less than starting a pool costs.
+    _worker_count(workers)
     cap = SCAN_DIAMETER_CAP.get(field.q)
     if not force and (cap is None or d > cap):
         raise ScaleGuardError(f"scan of q={field.q}, d={d} exceeds the desk-scale guard")
     total = rule_space_size(field, d)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"a rule space of {total} rules exceeds the 64-bit rule index")
-    if workers == 1:
-        return (total, *_scan_chunk((field, d, 0, total)))
-    jobs = [(field, d, lo, hi) for lo, hi in _chunks(total, workers)]
-    hits: list[int] = []
-    stats: dict = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part, part_stats in pool.map(_scan_chunk, jobs):
-            hits.extend(part)  # jobs are contiguous and mapped in order
-            for name, value in part_stats.items():
-                stats[name] = stats.get(name, 0) + value
-    return total, hits, stats
+    return (total, *_scan_range(field, d, 0, total))
 
 
 def _field_for_order(q: int) -> Field:
@@ -288,7 +299,9 @@ def _field_for_order(q: int) -> Field:
 
 
 def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> ScanReport:
-    """Brute-force every bipermutive rule of diameter d for self-orthogonality."""
+    """Brute-force every bipermutive rule of diameter d for self-orthogonality.
+    ``workers`` must be >= 1 but is otherwise unused: the scan runs in one
+    process."""
     t0 = time.perf_counter()
     if q not in (2, 3):
         raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")

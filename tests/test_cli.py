@@ -210,6 +210,14 @@ def test_poly_degree_cap(capsys):
     assert "x^100000000 exceeds the degree cap of 512" in err
 
 
+def test_poly_degree_cap_for_q_above_2(capsys):
+    code, out, err = run(capsys, "poly", "1+x+2*x^25", "--field", "GF(3)")
+    assert code == 2 and out == ""
+    assert err == "error: term x^25 exceeds the degree cap of 24 for q > 2\n"
+    code, out, _ = run(capsys, "poly", "1+x+x^24", "--field", "GF(4)")
+    assert code in (0, 1) and "degree: 24 (diameter 25)" in out
+
+
 def test_poly_gf3(capsys):
     code, out, _ = run(capsys, "poly", "2+x+x^2", "--field", "GF(3)")
     assert code == 0

@@ -170,6 +170,18 @@ def test_array_methods_match_scalar_ops(f):
     assert f.matmul_array(m, n).tolist() == expected
 
 
+@pytest.mark.parametrize("f", [Field(2, 8), Field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)), Field(251), Field(257)])
+def test_full_tables_match_scalar_ops(f):
+    """The array-built tables against one scalar call per entry.  The default
+    GF(2^8) modulus is not primitive (x has order 51), the second one is."""
+    if f.q <= 256:
+        assert f.mul_table.tolist() == [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
+    else:
+        with pytest.raises(ValueError, match="no dense table"):
+            f.mul_table
+    assert f.inv_table.tolist() == [0] + [f.inv(a) for a in range(1, f.q)]
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         GF3.check(3)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from soca_kit.fields import Field, GF2, GF3
 from soca_kit.polynomials import (
     MAX_PARSE_DEGREE,
+    MAX_PARSE_DEGREE_Q,
     Poly,
     gcd,
     irreducibles_of_degree,
@@ -213,8 +214,13 @@ def test_parse_degree_cap():
     assert parse_poly(GF2, f"1+x^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
     assert parse_poly(GF2, "1" * (MAX_PARSE_DEGREE + 1)).degree == MAX_PARSE_DEGREE
     assert parse_poly(GF2, "1" + "0" * 2 * MAX_PARSE_DEGREE) == Poly.one(GF2)  # the cap is on degree, not length
-    for field, text in ((GF2, "1+x^100000000"), (GF3, f"x^{MAX_PARSE_DEGREE + 1}+1"), (GF2, "1" * (MAX_PARSE_DEGREE + 2))):
-        with pytest.raises(ValueError, match=f"degree cap of {MAX_PARSE_DEGREE}"):
+    for field, text in ((GF2, "1+x^100000000"), (GF2, "1" * (MAX_PARSE_DEGREE + 2))):
+        with pytest.raises(ValueError, match=f"degree cap of {MAX_PARSE_DEGREE}$"):
+            parse_poly(field, text)
+    # q > 2: the tuple-polynomial Rabin test gets a lower cap
+    assert parse_poly(GF3, f"1+x^{MAX_PARSE_DEGREE_Q}").degree == MAX_PARSE_DEGREE_Q
+    for field, text in ((GF3, f"x^{MAX_PARSE_DEGREE_Q + 1}+1"), (GF3, f"x^{MAX_PARSE_DEGREE + 1}+1"), (Field(2, 16), "1+x^100")):
+        with pytest.raises(ValueError, match=f"degree cap of {MAX_PARSE_DEGREE_Q} for q > 2$"):
             parse_poly(field, text)
 
 

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soca_kit import search
 from soca_kit.checkers import soca_bruteforce, soca_linear_fast
@@ -139,36 +140,108 @@ def test_kernel_matches_bruteforce_oracle(field, d):
     rules = list(enumerate_bipermutive(field, d))
     oracle = [i for i, rule in enumerate(rules) if soca_bruteforce(rule).verdict]
     total = len(rules)
-    tables, _ = search._prefix_codes(field, d, 0, total)
+    tables = search._block_tables(field, d, 0, total)
     assert np.array_equal(tables, np.stack([r.table for r in rules]))
-    assert search._scan_chunk((field, d, 0, total))[0] == oracle
-    # chunks that start and stop off the block grid, as a worker pool cuts them
+    assert search._scan_range(field, d, 0, total)[0] == oracle
+    # ranges that start and stop off the block grid
     lo, hi = total // 3 + 1, total - 5
-    assert search._scan_chunk((field, d, lo, hi))[0] == [i for i in oracle if lo <= i < hi]
+    assert search._scan_range(field, d, lo, hi)[0] == [i for i in oracle if lo <= i < hi]
+
+
+def test_block_tables_decode_gf2_truth_table():
+    # over GF(2) rule index i is the truth table of g in f = x_1 + g + x_d:
+    # bit c of i is g on the central block c (x_{d-1} least significant)
+    t = np.arange(32)
+    x1, central, x5 = t >> 4, (t >> 1) & 7, t & 1
+    expected = [x1 ^ x5 ^ ((index >> central) & 1) for index in range(256)]
+    assert np.array_equal(search._block_tables(GF2, 5, 0, 256), np.stack(expected))
+    assert np.array_equal(search._rule_from_index(GF2, 5, 77).table, expected[77])
+
+
+def _seeded_d6_rules():
+    for index in random.Random(6).sample(range(rule_space_size(GF2, 6)), 512):
+        yield index, search._block_tables(GF2, 6, index, index + 1)
+
+
+def test_diagonal_rejections_are_proofs_d6():
+    rejected = 0
+    for index, tables in _seeded_d6_rules():
+        codes = search._filter_codes(GF2, 6, tables, prefix=False)[0]
+        values, counts = np.unique(codes, return_counts=True)
+        if counts.max() == 1:
+            continue
+        rejected += 1
+        rule = search._rule_from_index(GF2, 6, index)
+        assert not soca_bruteforce(rule).verdict
+        grid = cayley_table(rule).grid
+        r, s = np.flatnonzero(codes == values[np.argmax(counts > 1)])[:2]
+        assert r != s and grid[r, r] == grid[s, s]
+    assert rejected > 400  # the diagonal rejects 65,064 of the 65,536 rules
 
 
 def test_prefix_filter_rejections_are_proofs_d6():
-    rows, cols = search._prefix_plan(GF2, 6)[:2]
-    for index in random.Random(6).sample(range(rule_space_size(GF2, 6)), 512):
-        _, codes = search._prefix_codes(GF2, 6, index, index + 1)
-        _, first, counts = np.unique(codes[0], return_index=True, return_counts=True)
+    rows, cols = search._filter_plan(GF2, 6)[4:]
+    for index, tables in _seeded_d6_rules():
+        codes = search._filter_codes(GF2, 6, tables, prefix=True)[0]
+        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
         if counts.max() == 1:
             continue
         rule = search._rule_from_index(GF2, 6, index)
         assert not soca_bruteforce(rule).verdict
         grid = cayley_table(rule).grid
         dup = int(first[np.argmax(counts > 1)])
-        other = int(np.flatnonzero(codes[0] == codes[0, dup])[1])
+        other = int(np.flatnonzero(codes == codes[dup])[1])
         (r1, c1), (r2, c2) = (rows[dup], cols[dup]), (rows[other], cols[other])
         assert (r1, c1) != (r2, c2)
         assert (grid[r1, c1], grid[c1, r1]) == (grid[r2, c2], grid[c2, r2])
+
+
+@pytest.mark.parametrize("field,d", [(GF2, 3), (GF2, 4), (GF2, 5), (GF2, 6), (GF3, 3)])
+def test_census_hits_have_transversal_diagonal(field, d):
+    # a square orthogonal to its transpose has a transversal as its diagonal,
+    # and no off-diagonal cell with A[r, c] == A[c, r] (that would repeat a
+    # diagonal pair (a, a))
+    _, hits, _ = search._scan_indices(field, d, 1, False)
+    assert len(hits) == scan_soca(d, q=field.q).n_soca > 0
+    for index in hits:
+        grid = cayley_table(search._rule_from_index(field, d, index)).grid
+        n = grid.shape[0]
+        assert sorted(np.diag(grid)) == list(range(1, n + 1))
+        off = ~np.eye(n, dtype=bool)
+        assert (grid != grid.T)[off].all()
+
+
+def _linear_d6_index(central: int, constant: int) -> int:
+    # over GF(2) digit c of a rule index is the table entry at x_1 = x_d = 0
+    # with central block c, i.e. the generating function g(c)
+    coeffs = (1,) + tuple((central >> i) & 1 for i in range(4)) + (1,)
+    table = LinearRule(GF2, coeffs).to_rule().table ^ constant
+    return sum(int(table[2 * c]) << c for c in range(16))
+
+
+_D6_INDEX = st.one_of(
+    st.integers(0, (1 << 16) - 1),
+    st.builds(_linear_d6_index, st.integers(0, 15), st.integers(0, 1)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_D6_INDEX)
+def test_kernel_verdict_matches_bruteforce_d6(index):
+    rule = search._rule_from_index(GF2, 6, index)
+    expected = [index] if soca_bruteforce(rule).verdict else []
+    assert search._scan_range(GF2, 6, index, index + 1)[0] == expected
 
 
 def test_scan_stats():
     for d in (3, 4, 5):
         rep = scan_soca(d)
         st = rep.stats
-        assert st["prefix_rejected"] + st["fully_checked"] == st["enumerated"] == rep.n_bipermutive
+        assert (
+            st["diagonal_rejected"] + st["prefix_rejected"] + st["fully_checked"]
+            == st["enumerated"]
+            == rep.n_bipermutive
+        )
         assert st["fully_checked"] >= rep.n_soca
         assert st["filter_s"] >= 0 and st["check_s"] >= 0
         bare = dataclasses.replace(rep, stats={})
@@ -177,8 +250,12 @@ def test_scan_stats():
         assert json.dumps(bare.as_dict()) == json.dumps(rep.as_dict())
     pooled = scan_soca(4, workers=2).stats
     serial = scan_soca(4).stats
-    for name in ("enumerated", "prefix_rejected", "fully_checked"):
+    for name in ("enumerated", "diagonal_rejected", "prefix_rejected", "fully_checked"):
         assert pooled[name] == serial[name]
+    # at d = 6 the diagonal leaves 472 rules and the prefix exactly the 16 hits
+    st = scan_soca(6).stats
+    counted = (st["enumerated"], st["diagonal_rejected"], st["prefix_rejected"], st["fully_checked"])
+    assert counted == (65536, 65064, 456, 16)
 
 
 def test_worker_count_validation(monkeypatch):
