@@ -80,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--field", default="GF(2)")
     p_scan.add_argument("--workers", type=_worker_count, default=1)
     p_scan.add_argument("--i-know", action="store_true", help="override the desk-scale guards")
+    p_scan.add_argument("--stats", action="store_true", help="print what each scan did to stderr")
     add_out_args(p_scan)
 
     p_count = sub.add_parser("count-linear", help="fast gcd count of linear self-orthogonal rules")
@@ -233,6 +234,12 @@ def _cmd_scan(args) -> int:
         for d in _parse_diameters(args.diameter)
     ]
     _emit(_render_scan(reports, args.format), _resolve_out(args.out))
+    if args.stats:
+        for r in reports:
+            counts = " ".join(
+                f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in r.stats.items()
+            )
+            print(f"stats d={r.d} ({r.field_descriptor}): {counts}", file=sys.stderr)
     return 0
 
 

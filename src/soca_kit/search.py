@@ -1,24 +1,20 @@
 """Exhaustive rule-space scans: enumerate bipermutive rules, brute-force the
 self-orthogonal ones, classify them, and count linear self-orthogonal rules
-by the fast gcd test.
-
-A bipermutive rule is one two-argument bijective-in-both-slots map (a Latin
-square of order q on the alphabet) per value of the central d-2 cells, so the
-rule space is indexed by tuples of such maps.  Over GF(2) the two maps are
-XOR and XNOR and the index is exactly the truth table of the generating
-function g in f = x_1 + g(x_2..x_{d-1}) + x_d, enumerated in increasing
-order.  Scans stream rules in small blocks; the rule space is never
-materialized.
+by the fast gcd test.  Scans stream rules in blocks of indices (see
+``rulespace``); the rule space is never materialized.
 
 A scan decides rules in three stages, the first two batched over a block of
 rule indices at once.  A repeated pair in the superposition of a square with
 its transpose, in any cells, already proves the two are not orthogonal.  The
-diagonal stage evaluates only the n cells (r, r): their pairs are (a, a), so
-a rule whose diagonal repeats a symbol is rejected (an orthogonal pair of a
-square and its transpose has a transversal as its main diagonal).  The
-prefix stage evaluates, for the rules left, the cells in the first few rows
-and columns and rejects a repeated pair there.  Each survivor then goes
-through the full brute-force check, so every hit is proven on the whole grid.
+diagonal stage reads the n cells (r, r) from the rule index alone: their
+pairs are (a, a), so a rule whose diagonal repeats a symbol is rejected (an
+orthogonal pair of a square and its transpose has a transversal as its main
+diagonal).  A bijective diagonal takes each value equally often in every
+cell, so that count goes first.  Only the rules left get their lookup tables
+decoded; the prefix stage evaluates the cells in their first few rows and
+columns and rejects a repeated pair there.  Each survivor then goes through
+the full brute-force check, so every hit is proven on the whole grid.  Hits
+are classified from their index.
 """
 
 from __future__ import annotations
@@ -37,7 +33,15 @@ from .checkers import soca_bruteforce
 from .fields import Field, GF2
 from .polynomials import Poly, gcd, mask_gcd
 from .matrices import x_pow_minus_one
-from .rules import LocalRule, _table_dtype
+from .rules import LocalRule
+from .rulespace import (
+    _affine_by_index,
+    _balanced,
+    _block_tables,
+    _ring_diagonals,
+    _rule_from_index,
+    rule_space_size,
+)
 from .squares import _cayley_plan, _window_indices
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
@@ -46,73 +50,22 @@ COUNT_DIAMETER_CAP = 24
 # rules per block.  Of the 65,536 binary d=6 rules the diagonal leaves 472 and
 # four rows and columns then leave the 16 hits.
 _FILTER_ROWS = 4
-_BLOCK_RULES = 1024
+_BLOCK_RULES = 4096
 
 
 class ScaleGuardError(ValueError):
     """The request exceeds the desk-scale guard; pass force=True to override."""
 
 
-@lru_cache(maxsize=8)
-def _latin_maps(field: Field) -> tuple[tuple[int, ...], ...]:
-    """Every map h: (x, y) -> h[x*q + y] that permutes the alphabet in each
-    argument, i.e. every Latin square of order q, in lexicographic order."""
-    q = field.q
-    if q > 4:
-        raise ValueError(f"bipermutive enumeration is capped at q <= 4, got q = {q}")
-    out = []
-
-    def extend(rows):
-        if len(rows) == q:
-            out.append(tuple(itertools.chain.from_iterable(rows)))
-            return
-        for perm in itertools.permutations(range(q)):
-            if all(perm[c] not in {r[c] for r in rows} for c in range(q)):
-                extend(rows + [perm])
-
-    extend([])
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _rule_plan(field: Field, d: int):
-    """Decoding shared by every rule of one diameter.  A rule index is read
-    as base-L digits, one Latin map per central block (L maps); table
-    position t takes digit ``central[t]``, and its entry is
-    ``options.ravel()[offsets[t] + digit]``."""
-    q = field.q
-    idx = np.arange(q**d, dtype=np.int64)
-    central = (idx // q) % q ** (d - 2) if d >= 2 else np.zeros(q**d, dtype=np.int64)
-    pair = (idx // q ** (d - 1)) * q + idx % q
-    maps = np.array(_latin_maps(field), dtype=_table_dtype(q))
-    options = maps.T[pair]
-    return central, idx * options.shape[1], options
-
-
-def rule_space_size(field: Field, d: int) -> int:
-    """Number of bipermutive rules of diameter d over the field."""
-    return len(_latin_maps(field)) ** (field.q ** (d - 2))
-
-
-def _rule_from_index(field: Field, d: int, index: int) -> LocalRule:
-    central, offsets, options = _rule_plan(field, d)
-    base = options.shape[1]
-    digits = np.empty(field.q ** (d - 2), dtype=np.int64)
-    for c in range(digits.size):
-        index, digits[c] = divmod(index, base)
-    return LocalRule(field, d, options.ravel()[digits[central] + offsets])
-
-
 def enumerate_bipermutive(field: Field, d: int, force: bool = False):
     """Yield every bipermutive rule of diameter d exactly once, by index."""
-    if d < 2:
-        raise ValueError("bipermutive rules need diameter >= 2")
+    total = rule_space_size(field, d)
     cap = SCAN_DIAMETER_CAP.get(field.q)
     if not force and (cap is None or d > cap):
         raise ScaleGuardError(
             f"enumeration of q={field.q}, d={d} exceeds the desk-scale guard"
         )
-    for index in range(rule_space_size(field, d)):
+    for index in range(total):
         yield _rule_from_index(field, d, index)
 
 
@@ -187,12 +140,11 @@ def scan_reports_to_csv(reports, comment: str | None = None) -> str:
 
 @lru_cache(maxsize=32)
 def _filter_plan(field: Field, d: int):
-    """Grid cells the filter stages evaluate, as neighborhood windows (see
-    ``squares._cayley_plan``): ``diagonal``, the n cells (r, r), and
-    ``prefix``, every cell of the first k rows and then the first k columns
-    of the other rows, at ``rows``/``cols``.  The prefix set is closed under
-    transposition; ``mirror[s]`` is the position of cell s's mirror.  Returns
-    the output weights, the diagonal and prefix windows, ``mirror``, ``rows``
+    """Grid cells the prefix stage evaluates, as neighborhood windows (see
+    ``squares._cayley_plan``): every cell of the first k rows and then the
+    first k columns of the other rows, at ``rows``/``cols``.  The set is
+    closed under transposition; ``mirror[s]`` is the position of cell s's
+    mirror.  Returns the output weights, the windows, ``mirror``, ``rows``
     and ``cols``."""
     q = field.q
     blocks, out_weights, _ = _cayley_plan(field, d, False)
@@ -201,35 +153,22 @@ def _filter_plan(field: Field, d: int):
     rows = np.concatenate([np.repeat(np.arange(k), n), np.repeat(np.arange(k, n), k)])
     cols = np.concatenate([np.tile(np.arange(n), k), np.tile(np.arange(k), n - k)])
     mirror = np.where(cols < k, cols * n + rows, k * n + (cols - k) * k + rows)
-    diagonal = _window_indices(np.hstack([blocks, blocks]), q, d)
     prefix = _window_indices(np.hstack([blocks[rows], blocks[cols]]), q, d)
-    return out_weights.astype(np.min_scalar_type(n - 1)), diagonal, prefix, mirror, rows, cols
+    return out_weights.astype(np.min_scalar_type(n - 1)), prefix, mirror, rows, cols
 
 
-def _block_tables(field: Field, d: int, lo: int, hi: int) -> np.ndarray:
-    """Lookup tables of the rules lo..hi-1, one per row, in one gather."""
-    central, offsets, options = _rule_plan(field, d)
-    base = options.shape[1]
-    powers = base ** np.arange(field.q ** (d - 2), dtype=np.int64)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = (idx[:, None] // powers % base).astype(np.min_scalar_type(base - 1))
-    return options.ravel()[digits[:, central] + offsets]
-
-
-def _filter_codes(field: Field, d: int, tables: np.ndarray, prefix: bool) -> np.ndarray:
+def _filter_codes(field: Field, d: int, tables: np.ndarray) -> np.ndarray:
     """One row per table: the codes A[r, c] * n + A[c, r] of the superposition
-    pairs on the prefix cells, or on the diagonal the symbols A[r, r] (the
-    pair (a, a) coded as a).  Two equal codes in a row prove that rule's
+    pairs on the prefix cells.  Two equal codes in a row prove that rule's
     square is not orthogonal to its transpose.  Symbols are 0-based and keep
     the narrowest unsigned type through einsum, which casts the gathered
     windows, the largest array here, to its accumulator type.  Codes are at
     least uint16, which numpy sorts many times faster than uint8."""
-    weights, diagonal, cells, mirror = _filter_plan(field, d)[:4]
+    weights, cells, mirror = _filter_plan(field, d)[:3]
     n = field.q ** (d - 1)
     code = np.promote_types(np.uint16, np.min_scalar_type(n * n - 1)).type
-    windows = cells if prefix else diagonal
-    symbols = np.einsum("bst,t->bs", tables[:, windows], weights, dtype=weights.dtype).astype(code)
-    return symbols * code(n) + symbols[:, mirror] if prefix else symbols
+    symbols = np.einsum("bst,t->bs", tables[:, cells], weights, dtype=weights.dtype).astype(code)
+    return symbols * code(n) + symbols[:, mirror]
 
 
 def _repeats(codes: np.ndarray) -> np.ndarray:
@@ -245,15 +184,18 @@ def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int],
                  filter_s=0.0, check_s=0.0)
     for lo in range(start, stop, _BLOCK_RULES):
         t0 = time.perf_counter()
-        tables = _block_tables(field, d, lo, min(lo + _BLOCK_RULES, stop))
-        kept = np.flatnonzero(~_repeats(_filter_codes(field, d, tables, prefix=False)))
-        survivors = kept[~_repeats(_filter_codes(field, d, tables[kept], prefix=True))]
+        block = np.arange(lo, min(lo + _BLOCK_RULES, stop), dtype=np.int64)
+        kept = block[_balanced(field, d, block)]
+        kept = kept[~_repeats(_ring_diagonals(field, d, kept))]
+        tables = _block_tables(field, d, kept)
+        passed = ~_repeats(_filter_codes(field, d, tables))
+        survivors, tables = kept[passed].tolist(), tables[passed]
         t1 = time.perf_counter()
-        for b in survivors.tolist():
-            if soca_bruteforce(LocalRule(field, d, tables[b])).verdict:
-                hits.append(lo + b)
+        for index, table in zip(survivors, tables):
+            if soca_bruteforce(LocalRule(field, d, table)).verdict:
+                hits.append(index)
         t2 = time.perf_counter()
-        stats["diagonal_rejected"] += len(tables) - len(kept)
+        stats["diagonal_rejected"] += len(block) - len(kept)
         stats["prefix_rejected"] += len(kept) - len(survivors)
         stats["fully_checked"] += len(survivors)
         stats["filter_s"] += t1 - t0
@@ -275,9 +217,12 @@ def _chunks(total: int, workers: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _scan_indices(field: Field, d: int, workers: int, force: bool) -> tuple[int, list[int], dict]:
+def _scan_indices(q: int, d: int, workers: int, force: bool) -> tuple[Field, int, list[int], dict]:
     # ``workers`` is validated but unused: one process scans d = 6 in well
     # under a tenth of a second, less than starting a pool costs.
+    if q not in (2, 3):
+        raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
+    field = _field_for_order(q)
     _worker_count(workers)
     cap = SCAN_DIAMETER_CAP.get(field.q)
     if not force and (cap is None or d > cap):
@@ -285,7 +230,7 @@ def _scan_indices(field: Field, d: int, workers: int, force: bool) -> tuple[int,
     total = rule_space_size(field, d)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"a rule space of {total} rules exceeds the 64-bit rule index")
-    return (total, *_scan_range(field, d, 0, total))
+    return (field, total, *_scan_range(field, d, 0, total))
 
 
 def _field_for_order(q: int) -> Field:
@@ -303,29 +248,18 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
     ``workers`` must be >= 1 but is otherwise unused: the scan runs in one
     process."""
     t0 = time.perf_counter()
-    if q not in (2, 3):
-        raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
-    field = _field_for_order(q)
-    total, hits, stats = _scan_indices(field, d, workers, force)
-    n_linear = n_affine = 0
-    polys = []
-    for index in hits:
-        res = _rule_from_index(field, d, index).as_affine()
-        if res is None:
-            continue
-        n_affine += 1
-        if res[1] == 0:
-            n_linear += 1
-            polys.append(res[0].polynomial())
-    polys.sort(key=Poly.code)
+    field, total, hits, stats = _scan_indices(q, d, workers, force)
+    affine = _affine_by_index(field, d)
+    classified = [affine[index] for index in hits if index in affine]
+    polys = sorted((lr.polynomial() for lr, constant in classified if constant == 0), key=Poly.code)
     return ScanReport(
         d=d,
         q=q,
         field_descriptor=field.descriptor(),
         n_bipermutive=total,
         n_soca=len(hits),
-        n_linear_soca=n_linear,
-        n_affine_soca=n_affine,
+        n_linear_soca=len(polys),
+        n_affine_soca=len(classified),
         polynomials=tuple(polys),
         elapsed=time.perf_counter() - t0,
         stats=stats,
@@ -334,12 +268,9 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
 
 def find_nonlinear_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> list[LocalRule]:
     """Self-orthogonal rules that are not even affine; expected empty for d <= 6."""
-    if q not in (2, 3):
-        raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
-    field = _field_for_order(q)
-    _, hits, _ = _scan_indices(field, d, workers, force)
-    rules = (_rule_from_index(field, d, index) for index in hits)
-    return [r for r in rules if r.as_affine() is None]
+    field, _, hits, _ = _scan_indices(q, d, workers, force)
+    affine = _affine_by_index(field, d)
+    return [_rule_from_index(field, d, index) for index in hits if index not in affine]
 
 
 @dataclass(frozen=True)

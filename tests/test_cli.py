@@ -127,6 +127,24 @@ def test_reversed_diameter_range(capsys):
     assert code == 2 and out == "" and "9..4" in err
 
 
+@pytest.mark.parametrize("spec", ["1", "0", "0..3", "-3"])
+def test_scan_diameter_below_two(capsys, spec):
+    code, out, err = run(capsys, "scan", "-d", spec)
+    assert (code, out, err) == (2, "", "error: bipermutive rules need diameter >= 2\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_stats_go_to_stderr(capsys, fmt):
+    code, plain, err = run(capsys, "scan", "-d", "3..5", "--format", fmt)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "scan", "-d", "3..5", "--format", fmt, "--stats")
+    assert code == 0 and out == plain
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"stats d={d} (GF(2))" for d in (3, 4, 5)]
+    assert "enumerated=256 diagonal_rejected=248 prefix_rejected=0 fully_checked=8 filter_s=" in lines[2]
+    assert " check_s=" in lines[2]
+
+
 @pytest.mark.parametrize(
     "argv", [("scan", "-d", "3"), ("count-linear", "-d", "3"), ("table1",), ("table2",)]
 )

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soca_kit import search
-from soca_kit.checkers import soca_bruteforce, soca_linear_fast
+from soca_kit import rulespace, search
+from soca_kit.checkers import soca_binary_fast, soca_bruteforce, soca_linear_fast
 from soca_kit.fields import GF2, GF3, Field
 from soca_kit.polynomials import Poly, mask_gcd
 from soca_kit.rules import LinearRule
@@ -56,6 +56,21 @@ def test_enumeration_guard():
         list(enumerate_bipermutive(GF3, 4))
     with pytest.raises(ValueError):
         list(enumerate_bipermutive(GF2, 1))
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_diameter_below_two_refused(d):
+    calls = (
+        lambda: rule_space_size(GF2, d),
+        lambda: list(enumerate_bipermutive(GF2, d)),
+        lambda: scan_soca(d),
+        lambda: scan_soca(d, q=3),
+        lambda: find_nonlinear_soca(d),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^bipermutive rules need diameter >= 2$") as exc:
+            call()
+        assert not isinstance(exc.value, ScaleGuardError)
 
 
 def test_scan_d3():
@@ -140,7 +155,7 @@ def test_kernel_matches_bruteforce_oracle(field, d):
     rules = list(enumerate_bipermutive(field, d))
     oracle = [i for i, rule in enumerate(rules) if soca_bruteforce(rule).verdict]
     total = len(rules)
-    tables = search._block_tables(field, d, 0, total)
+    tables = rulespace._block_tables(field, d, np.arange(total))
     assert np.array_equal(tables, np.stack([r.table for r in rules]))
     assert search._scan_range(field, d, 0, total)[0] == oracle
     # ranges that start and stop off the block grid
@@ -154,24 +169,24 @@ def test_block_tables_decode_gf2_truth_table():
     t = np.arange(32)
     x1, central, x5 = t >> 4, (t >> 1) & 7, t & 1
     expected = [x1 ^ x5 ^ ((index >> central) & 1) for index in range(256)]
-    assert np.array_equal(search._block_tables(GF2, 5, 0, 256), np.stack(expected))
-    assert np.array_equal(search._rule_from_index(GF2, 5, 77).table, expected[77])
+    assert np.array_equal(rulespace._block_tables(GF2, 5, np.arange(256)), np.stack(expected))
+    assert np.array_equal(rulespace._rule_from_index(GF2, 5, 77).table, expected[77])
 
 
 def _seeded_d6_rules():
     for index in random.Random(6).sample(range(rule_space_size(GF2, 6)), 512):
-        yield index, search._block_tables(GF2, 6, index, index + 1)
+        yield index, rulespace._block_tables(GF2, 6, [index])
 
 
 def test_diagonal_rejections_are_proofs_d6():
     rejected = 0
-    for index, tables in _seeded_d6_rules():
-        codes = search._filter_codes(GF2, 6, tables, prefix=False)[0]
+    for index, _ in _seeded_d6_rules():
+        codes = rulespace._ring_diagonals(GF2, 6, np.array([index]))[0]
         values, counts = np.unique(codes, return_counts=True)
         if counts.max() == 1:
             continue
         rejected += 1
-        rule = search._rule_from_index(GF2, 6, index)
+        rule = rulespace._rule_from_index(GF2, 6, index)
         assert not soca_bruteforce(rule).verdict
         grid = cayley_table(rule).grid
         r, s = np.flatnonzero(codes == values[np.argmax(counts > 1)])[:2]
@@ -180,13 +195,13 @@ def test_diagonal_rejections_are_proofs_d6():
 
 
 def test_prefix_filter_rejections_are_proofs_d6():
-    rows, cols = search._filter_plan(GF2, 6)[4:]
+    rows, cols = search._filter_plan(GF2, 6)[3:]
     for index, tables in _seeded_d6_rules():
-        codes = search._filter_codes(GF2, 6, tables, prefix=True)[0]
+        codes = search._filter_codes(GF2, 6, tables)[0]
         _, first, counts = np.unique(codes, return_index=True, return_counts=True)
         if counts.max() == 1:
             continue
-        rule = search._rule_from_index(GF2, 6, index)
+        rule = rulespace._rule_from_index(GF2, 6, index)
         assert not soca_bruteforce(rule).verdict
         grid = cayley_table(rule).grid
         dup = int(first[np.argmax(counts > 1)])
@@ -196,39 +211,116 @@ def test_prefix_filter_rejections_are_proofs_d6():
         assert (grid[r1, c1], grid[c1, r1]) == (grid[r2, c2], grid[c2, r2])
 
 
+_SMALL_SPACES = [(GF2, 2), (GF2, 3), (GF2, 4), (GF2, 5), (GF3, 2), (GF3, 3)]
+
+
+@pytest.mark.parametrize("field,d", _SMALL_SPACES)
+def test_ring_diagonals_match_grid(field, d):
+    indices = np.arange(rule_space_size(field, d))
+    ring = rulespace._ring_diagonals(field, d, indices)
+    for index, rule in zip(indices, enumerate_bipermutive(field, d)):
+        assert np.array_equal(ring[index] + 1, np.diag(cayley_table(rule).grid))
+
+
+def test_ring_diagonals_match_grid_d6():
+    for index, _ in _seeded_d6_rules():
+        ring = rulespace._ring_diagonals(GF2, 6, np.array([index]))[0]
+        grid = cayley_table(rulespace._rule_from_index(GF2, 6, index)).grid
+        assert np.array_equal(ring + 1, np.diag(grid))
+
+
+@pytest.mark.parametrize("field,d", _SMALL_SPACES + [(GF2, 6)])
+def test_diagonal_survivors_are_balanced(field, d):
+    # a bijective diagonal takes every value q^(d-2) times in each cell, so
+    # the balance count drops no rule the diagonal keeps; over GF(2) balance
+    # is the weight 2^(d-3) of g, whose truth table is the index
+    indices = np.arange(rule_space_size(field, d))
+    ring = rulespace._ring_diagonals(field, d, indices)
+    balanced = rulespace._balanced(field, d, indices)
+    assert balanced[~search._repeats(ring)].all()
+    if field.q == 2:
+        weights = np.array([int(i).bit_count() for i in indices])
+        assert np.array_equal(balanced, 2 * weights == 2 ** (d - 2))
+
+
+@pytest.mark.parametrize("field,d", _SMALL_SPACES)
+def test_affine_by_index_matches_as_affine(field, d):
+    affine = rulespace._affine_by_index(field, d)
+    rules = list(enumerate_bipermutive(field, d))
+    assert [affine.get(i) for i in range(len(rules))] == [r.as_affine() for r in rules]
+    assert len(affine) == (field.q - 1) ** 2 * field.q ** (d - 1)
+
+
+def test_affine_by_index_d6_hits():
+    affine = rulespace._affine_by_index(GF2, 6)
+    assert len(affine) == 32 and len(rulespace._affine_by_index(GF3, 3)) == 36
+    _, _, hits, _ = search._scan_indices(2, 6, 1, False)
+    assert len(hits) == 16
+    for index in hits:
+        assert affine.get(index) == rulespace._rule_from_index(GF2, 6, index).as_affine()
+
+
+def _linear_ring_diagonals(d: int) -> np.ndarray:
+    # row k: the diagonal of the linear GF(2) rule whose central coefficients
+    # a_2..a_{d-1} are the bits of k, from the ring formula A[r, r]_t =
+    # g(r_{t+1}, ..., r_{t+d-2}) = sum over s of a_{s+1} r_{t+s}, indices mod d-1
+    m = d - 1
+    coeffs = (np.arange(1 << (d - 2))[:, None] >> np.arange(d - 2)) & 1
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    return sum((coeffs @ bits[:, (t + np.arange(1, d - 1)) % m].T % 2) << t for t in range(m))
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_linear_ring_diagonal_is_the_halved_gcd_test(d):
+    # for a linear GF(2) rule the diagonal stage alone decides: its ring map
+    # is a bijection exactly when gcd(p_f, X^(d-1)+1) = 1
+    diagonals = _linear_ring_diagonals(d)
+    bijective = [np.unique(row).size == row.size for row in diagonals]
+    expected = []
+    for k in range(1 << (d - 2)):
+        coeffs = (1,) + tuple((k >> i) & 1 for i in range(d - 2)) + (1,)
+        expected.append(soca_binary_fast(LinearRule(GF2, coeffs)).verdict)
+    assert bijective == expected
+    if d <= 7:
+        # the stage reads the same diagonals off the rule indices
+        indices = np.array([_linear_index(d, k) for k in range(1 << (d - 2))])
+        assert np.array_equal(rulespace._ring_diagonals(GF2, d, indices), diagonals)
+        assert sum(bijective) == {3: 1, 4: 2, 5: 4, 6: 8, 7: 12}[d]
+
+
 @pytest.mark.parametrize("field,d", [(GF2, 3), (GF2, 4), (GF2, 5), (GF2, 6), (GF3, 3)])
 def test_census_hits_have_transversal_diagonal(field, d):
     # a square orthogonal to its transpose has a transversal as its diagonal,
     # and no off-diagonal cell with A[r, c] == A[c, r] (that would repeat a
     # diagonal pair (a, a))
-    _, hits, _ = search._scan_indices(field, d, 1, False)
+    _, _, hits, _ = search._scan_indices(field.q, d, 1, False)
     assert len(hits) == scan_soca(d, q=field.q).n_soca > 0
     for index in hits:
-        grid = cayley_table(search._rule_from_index(field, d, index)).grid
+        grid = cayley_table(rulespace._rule_from_index(field, d, index)).grid
         n = grid.shape[0]
         assert sorted(np.diag(grid)) == list(range(1, n + 1))
         off = ~np.eye(n, dtype=bool)
         assert (grid != grid.T)[off].all()
 
 
-def _linear_d6_index(central: int, constant: int) -> int:
+def _linear_index(d: int, central: int, constant: int = 0) -> int:
     # over GF(2) digit c of a rule index is the table entry at x_1 = x_d = 0
     # with central block c, i.e. the generating function g(c)
-    coeffs = (1,) + tuple((central >> i) & 1 for i in range(4)) + (1,)
+    coeffs = (1,) + tuple((central >> i) & 1 for i in range(d - 2)) + (1,)
     table = LinearRule(GF2, coeffs).to_rule().table ^ constant
-    return sum(int(table[2 * c]) << c for c in range(16))
+    return sum(int(table[2 * c]) << c for c in range(1 << (d - 2)))
 
 
 _D6_INDEX = st.one_of(
     st.integers(0, (1 << 16) - 1),
-    st.builds(_linear_d6_index, st.integers(0, 15), st.integers(0, 1)),
+    st.builds(_linear_index, st.just(6), st.integers(0, 15), st.integers(0, 1)),
 )
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(_D6_INDEX)
 def test_kernel_verdict_matches_bruteforce_d6(index):
-    rule = search._rule_from_index(GF2, 6, index)
+    rule = rulespace._rule_from_index(GF2, 6, index)
     expected = [index] if soca_bruteforce(rule).verdict else []
     assert search._scan_range(GF2, 6, index, index + 1)[0] == expected
 
