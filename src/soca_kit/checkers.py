@@ -25,6 +25,8 @@ GCD_GENERAL = "gcd-general"
 GCD_BINARY = "gcd-binary"
 PARITY = "parity"
 IRREDUCIBLE = "irreducible-sufficient"
+NOT_BIPERMUTIVE = "rule is not bipermutive; self-orthogonality is undefined"
+NOT_LATIN = "bipermutive rule produced a non-Latin Cayley table"
 
 
 class AuditError(RuntimeError):
@@ -60,7 +62,7 @@ class SocaVerdict:
 def _require_bipermutive(rule) -> None:
     ok = rule.is_bipermutive if isinstance(rule, LinearRule) else rule.is_bipermutive()
     if not ok:
-        raise ValueError("rule is not bipermutive; self-orthogonality is undefined")
+        raise ValueError(NOT_BIPERMUTIVE)
 
 
 def _require_char2(lr: LinearRule, what: str) -> None:
@@ -73,7 +75,7 @@ def soca_bruteforce(rule: LocalRule, encoding=None) -> SocaVerdict:
     _require_bipermutive(rule)
     square = cayley_table(rule, encoding)
     if not is_latin(square):
-        raise AuditError("bipermutive rule produced a non-Latin Cayley table")
+        raise AuditError(NOT_LATIN)
     ok, cells = check_orthogonal(square, square.transpose())
     return SocaVerdict(ok, BRUTEFORCE, certificate=cells)
 

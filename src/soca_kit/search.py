@@ -3,18 +3,19 @@ self-orthogonal ones, classify them, and count linear self-orthogonal rules
 by the fast gcd test.  Scans stream rules in blocks of indices (see
 ``rulespace``); the rule space is never materialized.
 
-A scan decides rules in three stages, the first two batched over a block of
-rule indices at once.  A repeated pair in the superposition of a square with
-its transpose, in any cells, already proves the two are not orthogonal.  The
+A scan decides rules in three stages, each batched over a block of rule
+indices at once.  A repeated pair in the superposition of a square with its
+transpose, in any cells, already proves the two are not orthogonal.  The
 diagonal stage reads the n cells (r, r) from the rule index alone: their
 pairs are (a, a), so a rule whose diagonal repeats a symbol is rejected (an
 orthogonal pair of a square and its transpose has a transversal as its main
 diagonal).  A bijective diagonal takes each value equally often in every
 cell, so that count goes first.  Only the rules left get their lookup tables
 decoded; the prefix stage evaluates the cells in their first few rows and
-columns and rejects a repeated pair there.  Each survivor then goes through
-the full brute-force check, so every hit is proven on the whole grid.  Hits
-are classified from their index.
+columns and rejects a repeated pair there.  The survivors then go through
+the batched full check (bipermutivity, the whole grid, its Latin rows and
+columns, the full superposition), whose oracle is ``soca_bruteforce``, so
+every hit is proven on the whole grid.  Hits are classified from their index.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import dataclasses
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .checkers import soca_bruteforce
-from .fields import Field, GF2
+from .checkers import NOT_BIPERMUTIVE, NOT_LATIN, AuditError
+from .fields import GF2, GF3, Field
 from .polynomials import Poly, gcd, mask_gcd
 from .matrices import x_pow_minus_one
 from .rules import LocalRule
@@ -42,7 +42,7 @@ from .rulespace import (
     _rule_from_index,
     rule_space_size,
 )
-from .squares import _cayley_plan, _window_indices
+from .squares import _CHUNK_CELLS, _cayley_plan, _window_indices
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
@@ -62,9 +62,7 @@ def enumerate_bipermutive(field: Field, d: int, force: bool = False):
     total = rule_space_size(field, d)
     cap = SCAN_DIAMETER_CAP.get(field.q)
     if not force and (cap is None or d > cap):
-        raise ScaleGuardError(
-            f"enumeration of q={field.q}, d={d} exceeds the desk-scale guard"
-        )
+        raise ScaleGuardError(f"enumeration of q={field.q}, d={d} exceeds the desk-scale guard")
     for index in range(total):
         yield _rule_from_index(field, d, index)
 
@@ -126,15 +124,10 @@ SCAN_CSV_HEADER = "d,bipermutive,soca,linear_soca,affine_soca,polynomials"
 
 
 def scan_reports_to_csv(reports, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(SCAN_CSV_HEADER)
+    lines = [f"# {comment}", SCAN_CSV_HEADER] if comment else [SCAN_CSV_HEADER]
     for r in reports:
         polys = ";".join(str(p) for p in r.polynomials)
-        lines.append(
-            f"{r.d},{r.n_bipermutive},{r.n_soca},{r.n_linear_soca},{r.n_affine_soca},{polys}"
-        )
+        lines.append(f"{r.d},{r.n_bipermutive},{r.n_soca},{r.n_linear_soca},{r.n_affine_soca},{polys}")
     return "\n".join(lines) + "\n"
 
 
@@ -177,6 +170,32 @@ def _repeats(codes: np.ndarray) -> np.ndarray:
     return (codes[:, 1:] == codes[:, :-1]).any(axis=1)
 
 
+def _full_check(field: Field, d: int, tables: np.ndarray) -> np.ndarray:
+    """Whether each table's square is orthogonal to its transpose, proven on
+    the whole grid: the checks of ``checkers.soca_bruteforce``, its oracle,
+    stacked over groups of tables of at most _CHUNK_CELLS grid cells, and
+    raising as it does.  The Cayley windows are cached for every d within
+    the scan's 64-bit index guard.  Symbols are 0-based, as in the filter."""
+    q, n = field.q, field.q ** (d - 1)
+    weights, windows = _filter_plan(field, d)[0], _cayley_plan(field, d, False)[2]
+    code = np.promote_types(np.uint16, np.min_scalar_type(n * n - 1)).type
+    row, col = np.arange(n, dtype=code), np.arange(n, dtype=code)[:, None]
+    verdicts = np.empty(len(tables), dtype=bool)
+    step = max(_CHUNK_CELLS // (n * n), 1)
+    for lo in range(0, len(tables), step):
+        group = tables[lo : lo + step]
+        k = len(group)
+        first, last = np.sort(group.reshape(k, q, -1), axis=1), np.sort(group.reshape(k, -1, q), axis=2)
+        if not ((first == col[:q]).all() and (last == row[:q]).all()):
+            raise ValueError(NOT_BIPERMUTIVE)
+        grid = np.einsum("bst,t->bs", group[:, windows], weights, dtype=weights.dtype)
+        grid = grid.astype(code).reshape(k, n, n)
+        if not ((np.sort(grid, axis=2) == row).all() and (np.sort(grid, axis=1) == col).all()):
+            raise AuditError(NOT_LATIN)
+        verdicts[lo : lo + k] = ~_repeats((grid * code(n) + grid.transpose(0, 2, 1)).reshape(k, -1))
+    return verdicts
+
+
 def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int], dict]:
     """Self-orthogonal rule indices in start..stop-1, and the scan's stats."""
     hits = []
@@ -189,11 +208,9 @@ def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int],
         kept = kept[~_repeats(_ring_diagonals(field, d, kept))]
         tables = _block_tables(field, d, kept)
         passed = ~_repeats(_filter_codes(field, d, tables))
-        survivors, tables = kept[passed].tolist(), tables[passed]
+        survivors, tables = kept[passed], tables[passed]
         t1 = time.perf_counter()
-        for index, table in zip(survivors, tables):
-            if soca_bruteforce(LocalRule(field, d, table)).verdict:
-                hits.append(index)
+        hits.extend(survivors[_full_check(field, d, tables)].tolist())
         t2 = time.perf_counter()
         stats["diagonal_rejected"] += len(block) - len(kept)
         stats["prefix_rejected"] += len(kept) - len(survivors)
@@ -234,13 +251,9 @@ def _scan_indices(q: int, d: int, workers: int, force: bool) -> tuple[Field, int
 
 
 def _field_for_order(q: int) -> Field:
-    if q == 2:
-        return GF2
-    if q == 3:
-        return Field(3)
-    if q == 4:
-        return Field(2, 2)
-    raise ValueError(f"supported alphabet orders are 2, 3 and 4, got q = {q}")
+    if q not in (2, 3, 4):
+        raise ValueError(f"supported alphabet orders are 2, 3 and 4, got q = {q}")
+    return GF2 if q == 2 else GF3 if q == 3 else Field(2, 2)
 
 
 def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> ScanReport:
@@ -301,27 +314,22 @@ COUNT_CSV_HEADER = "d,linear_soca"
 
 
 def count_report_to_csv(report: LinearCountReport) -> str:
-    lines = [COUNT_CSV_HEADER]
-    for d, c in zip(range(report.d_min, report.d_max + 1), report.counts):
-        lines.append(f"{d},{c}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{d},{c}" for d, c in zip(range(report.d_min, report.d_max + 1), report.counts))
+    return "\n".join([COUNT_CSV_HEADER, *rows]) + "\n"
 
 
 def _count_chunk_gf2(args) -> int:
     d, start, stop = args
     modulus = (1 << (d - 1)) | 1
-    hi = 1 << (d - 1)
-    count = 0
-    for central in range(start, stop):
-        if mask_gcd(1 | (central << 1) | hi, modulus) == 1:
-            count += 1
-    return count
+    return sum(1 for central in range(start, stop) if mask_gcd(modulus | central << 1, modulus) == 1)
 
 
 def _count_linear_gf2(d: int, workers: int) -> int:
     total = 1 << (d - 2)
     if workers == 1 or total < 1 << 12:
         return _count_chunk_gf2((d, 0, total))
+    from concurrent.futures import ProcessPoolExecutor
+
     jobs = [(d, lo, hi) for lo, hi in _chunks(total, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_count_chunk_gf2, jobs))
@@ -329,16 +337,9 @@ def _count_linear_gf2(d: int, workers: int) -> int:
 
 def _count_linear_generic(field: Field, d: int) -> int:
     modulus = x_pow_minus_one(field, 2 * (d - 1))
-    q = field.q
-    count = 0
-    nonzero = range(1, q)
-    for a1 in nonzero:
-        for ad in nonzero:
-            for central in itertools.product(range(q), repeat=d - 2):
-                p = Poly(field, (a1,) + central + (ad,))
-                if gcd(p, modulus).degree == 0:
-                    count += 1
-    return count
+    nonzero, digits = range(1, field.q), range(field.q)
+    coeffs = itertools.product(nonzero, *[digits] * (d - 2), nonzero)
+    return sum(gcd(Poly(field, c), modulus).degree == 0 for c in coeffs)
 
 
 def count_linear_soca(
@@ -365,12 +366,10 @@ def count_linear_soca(
         field = _field_for_order(q)
     if field.q != q:
         raise ValueError("field does not match q")
-    counts = []
-    for d in range(d_min, d_max + 1):
-        if field.q == 2:
-            counts.append(_count_linear_gf2(d, workers))
-        else:
-            counts.append(_count_linear_generic(field, d))
+    counts = [
+        _count_linear_gf2(d, workers) if q == 2 else _count_linear_generic(field, d)
+        for d in range(d_min, d_max + 1)
+    ]
     return LinearCountReport(
         q=q,
         field_descriptor=field.descriptor(),

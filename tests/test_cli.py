@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import soca_kit
 from soca_kit import checkers, cli
 from soca_kit.cli import main
 from soca_kit.fields import GF2, GF3, Field
@@ -405,3 +409,13 @@ def test_linear_table_size_refusal_kept(capsys):
     code, out, err = run(capsys, "check", "--linear", _linear_text((1,) + (0,) * 23 + (1,)))
     assert code == 2 and out == ""
     assert err == "error: table of 2^25 entries exceeds the size cap\n"
+
+
+def test_import_leaves_the_process_pool_out():
+    # only count_linear_soca with workers > 1 starts a pool; importing the
+    # package and the CLI must not load multiprocessing
+    src = str(Path(soca_kit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, soca_kit, soca_kit.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soca_kit import rulespace, search
+from soca_kit import checkers, rulespace, search, squares
 from soca_kit.checkers import soca_binary_fast, soca_bruteforce, soca_linear_fast
 from soca_kit.fields import GF2, GF3, Field
 from soca_kit.polynomials import Poly, mask_gcd
-from soca_kit.rules import LinearRule
+from soca_kit.rules import LinearRule, LocalRule
 from soca_kit.squares import cayley_table
 from soca_kit.search import (
     LinearCountReport,
@@ -227,6 +227,71 @@ def test_ring_diagonals_match_grid_d6():
         ring = rulespace._ring_diagonals(GF2, 6, np.array([index]))[0]
         grid = cayley_table(rulespace._rule_from_index(GF2, 6, index)).grid
         assert np.array_equal(ring + 1, np.diag(grid))
+
+
+def _oracle_verdicts(field, d, tables):
+    return [soca_bruteforce(LocalRule(field, d, table)).verdict for table in tables]
+
+
+@pytest.mark.parametrize("field,d", _SMALL_SPACES)
+def test_full_check_matches_bruteforce_oracle(field, d):
+    # every table of the space, the ones the filters reject included
+    tables = rulespace._block_tables(field, d, np.arange(rule_space_size(field, d)))
+    assert search._full_check(field, d, tables).tolist() == _oracle_verdicts(field, d, tables)
+
+
+def test_full_check_matches_bruteforce_oracle_d6():
+    # the seeded rules hold no hit, so the 32 affine rules are added
+    seeded = [index for index, _ in _seeded_d6_rules()]
+    affine = [_linear_index(6, central, constant) for central in range(16) for constant in (0, 1)]
+    tables = rulespace._block_tables(GF2, 6, np.array(seeded + affine))
+    verdicts = search._full_check(GF2, 6, tables).tolist()
+    assert verdicts == _oracle_verdicts(GF2, 6, tables) and 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("field,d,rules", [(GF2, 5, 1), (GF2, 5, 3), (GF3, 3, 5), (GF2, 6, 7)])
+def test_full_check_groups_give_the_same_verdicts(monkeypatch, field, d, rules):
+    indices = np.arange(min(rule_space_size(field, d), 1000))
+    tables = rulespace._block_tables(field, d, indices)
+    expected = search._full_check(field, d, tables)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", rules * field.q ** (2 * (d - 1)))
+    assert np.array_equal(search._full_check(field, d, tables), expected)
+
+
+def test_full_check_alone_rejects_what_the_prefix_would(monkeypatch):
+    # with a prefix stage that rejects nothing, the full check must turn the
+    # diagonal survivors into exactly the same hits
+    expected = {(d, q): scan_soca(d, q=q) for d, q in ((3, 3), (6, 2))}
+    monkeypatch.setattr(search, "_filter_codes", lambda field, d, tables: np.zeros((len(tables), 1)))
+    for (d, q), report in expected.items():
+        unfiltered = scan_soca(d, q=q)
+        assert unfiltered.key() == report.key()
+        assert unfiltered.stats["prefix_rejected"] == 0
+        assert unfiltered.stats["fully_checked"] > report.n_soca
+    assert unfiltered.stats["fully_checked"] == 472  # d = 6 over GF(2), as in test_scan_stats
+
+
+def test_full_check_refuses_as_the_oracle_does(monkeypatch):
+    tables = rulespace._block_tables(GF2, 4, np.arange(16))
+    last_only, first_only = tables[5].copy(), tables[5].copy()
+    last_only[:8] = tables[5, 8:]  # x_1 no longer matters: permutive in x_4 only
+    first_only[1::2] = tables[5, ::2]  # x_4 no longer matters: permutive in x_1 only
+    for table in (last_only, first_only, np.zeros(16, dtype=tables.dtype)):
+        with pytest.raises(ValueError) as oracle:
+            soca_bruteforce(LocalRule(GF2, 4, table))
+        with pytest.raises(ValueError) as batched:
+            search._full_check(GF2, 4, np.vstack([tables[:3], table]))
+        assert str(batched.value) == str(oracle.value) == checkers.NOT_BIPERMUTIVE
+    # a wrong evaluation plan gives grids that are not Latin: refused, never a
+    # verdict, both when only the columns and when only the rows fail
+    blocks, weights, windows = squares._cayley_plan(GF2, 4, False)
+    row_copied, column_copied = windows.copy(), windows.copy()
+    row_copied[8:16] = windows[:8]  # row 1 repeats row 0
+    column_copied[1::8] = windows[::8]  # column 1 repeats column 0
+    for broken in (row_copied, column_copied):
+        monkeypatch.setattr(search, "_cayley_plan", lambda *args: (blocks, weights, broken))
+        with pytest.raises(checkers.AuditError, match=checkers.NOT_LATIN):
+            search._full_check(GF2, 4, tables)
 
 
 @pytest.mark.parametrize("field,d", _SMALL_SPACES + [(GF2, 6)])
