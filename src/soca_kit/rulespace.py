@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field
+from .polynomials import Poly
 from .rules import LinearRule, LocalRule, _table_dtype
 from .squares import _cayley_plan, _window_indices
 
@@ -59,14 +60,16 @@ def _rule_plan(field: Field, d: int):
     """Decoding shared by every rule of one diameter.  A rule index is read
     as base-L digits, one Latin map per central block (L maps); table
     position t takes digit ``central[t]``, and its entry is
-    ``options.ravel()[offsets[t] + digit]``."""
+    ``options.ravel()[offsets[t] + digit]``.  Digit c of index i is
+    i // powers[c] % L, exact wherever the rule space fits an int64."""
     q = field.q
     idx = np.arange(q**d, dtype=np.int64)
     central = (idx // q) % q ** (d - 2)
     pair = (idx // q ** (d - 1)) * q + idx % q
     maps = np.array(_latin_maps(field), dtype=_table_dtype(q))
     options = maps.T[pair]
-    return central, idx * options.shape[1], options
+    powers = len(maps) ** np.arange(q ** (d - 2), dtype=np.int64)
+    return central, idx * options.shape[1], options, powers
 
 
 def rule_space_size(field: Field, d: int) -> int:
@@ -77,7 +80,7 @@ def rule_space_size(field: Field, d: int) -> int:
 
 
 def _rule_from_index(field: Field, d: int, index: int) -> LocalRule:
-    central, offsets, options = _rule_plan(field, d)
+    central, offsets, options, _ = _rule_plan(field, d)
     base = options.shape[1]
     digits = np.empty(field.q ** (d - 2), dtype=np.int64)
     for c in range(digits.size):
@@ -121,7 +124,11 @@ def _ring_plan(field: Field, d: int):
 def _chunk_sum(base: int, tables, indices: np.ndarray) -> np.ndarray:
     """Sum over chunks j of ``tables[j]`` at the j-th base-``base`` digit of
     each index: one gather per chunk."""
-    return sum(t[indices // base**j % base] for j, t in enumerate(tables))
+    total = tables[0][indices % base]
+    for t in tables[1:]:
+        indices = indices // base
+        total += t[indices % base]
+    return total
 
 
 def _balanced(field: Field, d: int, indices: np.ndarray) -> np.ndarray:
@@ -139,9 +146,8 @@ def _ring_diagonals(field: Field, d: int, indices: np.ndarray) -> np.ndarray:
 
 def _block_tables(field: Field, d: int, indices: np.ndarray) -> np.ndarray:
     """Lookup tables of the rules at ``indices``, one per row, in one gather."""
-    central, offsets, options = _rule_plan(field, d)
+    central, offsets, options, powers = _rule_plan(field, d)
     base = options.shape[1]
-    powers = base ** np.arange(field.q ** (d - 2), dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     digits = (indices[:, None] // powers % base).astype(np.min_scalar_type(base - 1))
     return options.ravel()[digits[:, central] + offsets]
@@ -165,3 +171,11 @@ def _affine_by_index(field: Field, d: int) -> dict[int, tuple[LinearRule, int]]:
             index = sum(maps[tuple(cube[:, c].ravel())] * w for c, w in enumerate(weights))
             out[index] = (linear, constant)
     return out
+
+
+@lru_cache(maxsize=32)
+def _linear_polynomials(field: Field, d: int) -> dict[int, Poly]:
+    """The associated polynomial of every strictly linear rule (constant 0)
+    of ``_affine_by_index``, keyed by the same rule index."""
+    affine = _affine_by_index(field, d).items()
+    return {index: lr.polynomial() for index, (lr, constant) in affine if constant == 0}

@@ -12,10 +12,12 @@ orthogonal pair of a square and its transpose has a transversal as its main
 diagonal).  A bijective diagonal takes each value equally often in every
 cell, so that count goes first.  Only the rules left get their lookup tables
 decoded; the prefix stage evaluates the cells in their first few rows and
-columns and rejects a repeated pair there.  The survivors then go through
-the batched full check (bipermutivity, the whole grid, its Latin rows and
-columns, the full superposition), whose oracle is ``soca_bruteforce``, so
-every hit is proven on the whole grid.  Hits are classified from their index.
+columns and rejects a repeated pair there.  The survivors of all blocks
+then go through one full check, whose oracle is ``soca_bruteforce``, so
+every hit is proven on the whole grid: per rule, one sort of codes placed in
+disjoint ranges, one range per check (permutive in x_1, permutive in x_d,
+Latin rows, Latin columns, the full superposition), where a repeated code
+fails the check of its range.  Hits are classified from their index.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .rulespace import (
     _affine_by_index,
     _balanced,
     _block_tables,
+    _linear_polynomials,
     _ring_diagonals,
     _rule_from_index,
     rule_space_size,
@@ -51,6 +54,7 @@ COUNT_DIAMETER_CAP = 24
 # four rows and columns then leave the 16 hits.
 _FILTER_ROWS = 4
 _BLOCK_RULES = 4096
+_INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
 class ScaleGuardError(ValueError):
@@ -170,62 +174,97 @@ def _repeats(codes: np.ndarray) -> np.ndarray:
     return (codes[:, 1:] == codes[:, :-1]).any(axis=1)
 
 
+@lru_cache(maxsize=32)
+def _check_plan(field: Field, d: int):
+    """The code ranges of ``_full_check`` for N = q^d table entries and n^2
+    grid cells.  Returns the offsets that place the codes [table, table,
+    grid, grid, pairs] in their ranges, the mirror of every grid cell, the
+    sorted codes of a rule that passes, 0 .. 2N + 3n^2 - 1, in the narrowest
+    type from uint16 up that holds 2N + 3n^2, and the bounds 2N and
+    2N + 2n^2."""
+    q, size, n = field.q, field.q**d, field.q ** (d - 1)
+    entry, cell = np.arange(size), np.arange(n * n)
+    latin, pairs, stop = 2 * size, 2 * size + 2 * n * n, 2 * size + 3 * n * n
+    offsets = np.concatenate([entry % n * q, size + entry - entry % q, latin + cell // n * n,
+                              latin + n * n + cell % n * n, np.full(n * n, pairs)])
+    code = np.promote_types(np.uint16, np.min_scalar_type(stop))
+    return offsets.astype(code), cell % n * n + cell // n, np.arange(stop, dtype=code), (latin, pairs)
+
+
 def _full_check(field: Field, d: int, tables: np.ndarray) -> np.ndarray:
-    """Whether each table's square is orthogonal to its transpose, proven on
-    the whole grid: the checks of ``checkers.soca_bruteforce``, its oracle,
-    stacked over groups of tables of at most _CHUNK_CELLS grid cells, and
-    raising as it does.  The Cayley windows are cached for every d within
-    the scan's 64-bit index guard.  Symbols are 0-based, as in the filter."""
-    q, n = field.q, field.q ** (d - 1)
+    """Whether each table's square A is orthogonal to its transpose, proven
+    on the whole grid: the checks of ``checkers.soca_bruteforce``, its
+    oracle, as one sort per table over codes in disjoint ranges (N = q^d):
+    - [0, N): (x_2..x_d, f), repeated iff f is not permutive in x_1;
+    - [N, 2N): (x_1..x_{d-1}, f), repeated iff f is not permutive in x_d;
+    - [2N, 2N + n^2): (r, A[r, c]), repeated iff a row is not Latin;
+    - [2N + n^2, 2N + 2n^2): (c, A[r, c]), repeated iff a column is not;
+    - [2N + 2n^2, 2N + 3n^2): (A[r, c], A[c, r]), repeated iff A is not
+      orthogonal to its transpose.
+    Each range holds as many codes as it has values, so a table passes iff
+    its sorted codes read 0, 1, 2, ...; the first place they do not lies in
+    the range of the first check it fails.  In each group of at most
+    _CHUNK_CELLS grid cells the earliest such place decides, so it raises as
+    the oracle does: ``ValueError`` (not bipermutive) before ``AuditError``
+    (not Latin).  The Cayley windows are cached for every d within the
+    scan's 64-bit index guard.  Symbols are 0-based, as in the filter."""
+    n = field.q ** (d - 1)
     weights, windows = _filter_plan(field, d)[0], _cayley_plan(field, d, False)[2]
-    code = np.promote_types(np.uint16, np.min_scalar_type(n * n - 1)).type
-    row, col = np.arange(n, dtype=code), np.arange(n, dtype=code)[:, None]
+    offsets, mirror, passing, (latin, pairs) = _check_plan(field, d)
     verdicts = np.empty(len(tables), dtype=bool)
     step = max(_CHUNK_CELLS // (n * n), 1)
     for lo in range(0, len(tables), step):
         group = tables[lo : lo + step]
-        k = len(group)
-        first, last = np.sort(group.reshape(k, q, -1), axis=1), np.sort(group.reshape(k, -1, q), axis=2)
-        if not ((first == col[:q]).all() and (last == row[:q]).all()):
+        grid = np.einsum("bst,t->bs", group[:, windows], weights, dtype=weights.dtype).astype(passing.dtype)
+        codes = np.concatenate([group, group, grid, grid, grid * n + grid[:, mirror]], axis=1)
+        codes += offsets
+        codes.sort(axis=1)
+        proven = codes == passing
+        passed = proven.all(axis=1)
+        first = proven[~passed].argmin(axis=1).min(initial=len(passing))
+        if first < latin:
             raise ValueError(NOT_BIPERMUTIVE)
-        grid = np.einsum("bst,t->bs", group[:, windows], weights, dtype=weights.dtype)
-        grid = grid.astype(code).reshape(k, n, n)
-        if not ((np.sort(grid, axis=2) == row).all() and (np.sort(grid, axis=1) == col).all()):
+        if first < pairs:
             raise AuditError(NOT_LATIN)
-        verdicts[lo : lo + k] = ~_repeats((grid * code(n) + grid.transpose(0, 2, 1)).reshape(k, -1))
+        verdicts[lo : lo + len(group)] = passed
     return verdicts
 
 
 def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int], dict]:
-    """Self-orthogonal rule indices in start..stop-1, and the scan's stats."""
-    hits = []
+    """Self-orthogonal rule indices in start..stop-1, and the scan's stats.
+    The diagonal and prefix stages run block by block; the survivors of all
+    blocks then go through one full check."""
     stats = dict(enumerated=stop - start, diagonal_rejected=0, prefix_rejected=0, fully_checked=0,
                  filter_s=0.0, check_s=0.0)
+    survivors, tables, t0 = [], [], time.perf_counter()
     for lo in range(start, stop, _BLOCK_RULES):
-        t0 = time.perf_counter()
         block = np.arange(lo, min(lo + _BLOCK_RULES, stop), dtype=np.int64)
         kept = block[_balanced(field, d, block)]
         kept = kept[~_repeats(_ring_diagonals(field, d, kept))]
-        tables = _block_tables(field, d, kept)
-        passed = ~_repeats(_filter_codes(field, d, tables))
-        survivors, tables = kept[passed], tables[passed]
-        t1 = time.perf_counter()
-        hits.extend(survivors[_full_check(field, d, tables)].tolist())
-        t2 = time.perf_counter()
+        kept_tables = _block_tables(field, d, kept)
+        passed = ~_repeats(_filter_codes(field, d, kept_tables))
+        survivors.append(kept[passed])
+        tables.append(kept_tables[passed])
         stats["diagonal_rejected"] += len(block) - len(kept)
-        stats["prefix_rejected"] += len(kept) - len(survivors)
-        stats["fully_checked"] += len(survivors)
-        stats["filter_s"] += t1 - t0
-        stats["check_s"] += t2 - t1
+        stats["prefix_rejected"] += len(kept) - len(survivors[-1])
+    if not survivors:
+        return [], stats
+    survivors, t1 = np.concatenate(survivors), time.perf_counter()
+    hits = survivors[_full_check(field, d, np.concatenate(tables))].tolist()
+    stats.update(fully_checked=len(survivors), filter_s=t1 - t0, check_s=time.perf_counter() - t1)
     return hits, stats
 
 
-def _worker_count(workers: int) -> int:
-    """Processes to use for ``workers`` requested: at least one, clamped to
-    the CPU count."""
+def _check_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+    return workers
+
+
+def _worker_count(workers: int) -> int:
+    """Processes for a count pool of ``workers`` requested: at least one,
+    clamped to the CPU count."""
+    return min(_check_workers(workers), os.cpu_count() or 1)
 
 
 def _chunks(total: int, workers: int):
@@ -240,12 +279,12 @@ def _scan_indices(q: int, d: int, workers: int, force: bool) -> tuple[Field, int
     if q not in (2, 3):
         raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
-    _worker_count(workers)
+    _check_workers(workers)
     cap = SCAN_DIAMETER_CAP.get(field.q)
     if not force and (cap is None or d > cap):
         raise ScaleGuardError(f"scan of q={field.q}, d={d} exceeds the desk-scale guard")
     total = rule_space_size(field, d)
-    if total > np.iinfo(np.int64).max:
+    if total > _INDEX_MAX:
         raise ValueError(f"a rule space of {total} rules exceeds the 64-bit rule index")
     return (field, total, *_scan_range(field, d, 0, total))
 
@@ -262,9 +301,8 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
     process."""
     t0 = time.perf_counter()
     field, total, hits, stats = _scan_indices(q, d, workers, force)
-    affine = _affine_by_index(field, d)
-    classified = [affine[index] for index in hits if index in affine]
-    polys = sorted((lr.polynomial() for lr, constant in classified if constant == 0), key=Poly.code)
+    affine, linear = _affine_by_index(field, d), _linear_polynomials(field, d)
+    polys = sorted((linear[index] for index in hits if index in linear), key=Poly.code)
     return ScanReport(
         d=d,
         q=q,
@@ -272,7 +310,7 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
         n_bipermutive=total,
         n_soca=len(hits),
         n_linear_soca=len(polys),
-        n_affine_soca=len(classified),
+        n_affine_soca=sum(index in affine for index in hits),
         polynomials=tuple(polys),
         elapsed=time.perf_counter() - t0,
         stats=stats,

@@ -1,6 +1,7 @@
 """Rule-space scans, linear counts, report determinism and rendering."""
 
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soca_kit import checkers, rulespace, search, squares
+from soca_kit import checkers, cli, rulespace, search, squares
 from soca_kit.checkers import soca_binary_fast, soca_bruteforce, soca_linear_fast
 from soca_kit.fields import GF2, GF3, Field
 from soca_kit.polynomials import Poly, mask_gcd
@@ -294,6 +295,57 @@ def test_full_check_refuses_as_the_oracle_does(monkeypatch):
             search._full_check(GF2, 4, tables)
 
 
+def test_full_check_matches_bruteforce_oracle_gf3_d6():
+    # 2 * 729 + 3 * 243^2 = 178,605 codes per rule need uint32
+    coeffs = itertools.product((1, 2), *[range(3)] * 4, (1, 2))
+    tables = np.stack([LinearRule(GF3, c).to_rule().table for c in coeffs])
+    assert search._check_plan(GF3, 6)[0].dtype == np.uint32
+    verdicts = search._full_check(GF3, 6, tables).tolist()
+    assert verdicts == _oracle_verdicts(GF3, 6, tables) and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_full_check_error_precedence(monkeypatch):
+    # cell (2, 0) reads output cell 0 from the window of cell (0, 0), which
+    # differs from its own in x_2 only: a grid stays whole (and Latin) where
+    # the rule gives both windows the same value, and otherwise repeats a
+    # symbol in row 2 and in column 0
+    tables = rulespace._block_tables(GF2, 4, np.arange(16))
+    blocks, weights, windows = squares._cayley_plan(GF2, 4, False)
+    broken = windows.copy()
+    broken[16, 0] = windows[0, 0]
+    grids = (tables[:, broken] @ weights).reshape(16, 8, 8)
+    latin = [squares.is_latin(squares.LatinSquare(g + 1)) for g in grids]
+    verdicts = _oracle_verdicts(GF2, 4, tables)
+    not_latin = tables[latin.index(False)]
+    not_orthogonal = tables[[i for i in range(16) if latin[i] and not verdicts[i]][0]]
+    not_bipermutive = np.zeros(16, dtype=tables.dtype)
+    monkeypatch.setattr(search, "_cayley_plan", lambda *args: (blocks, weights, broken))
+    assert search._full_check(GF2, 4, not_orthogonal[None]).tolist() == [False]
+    for group in ([not_orthogonal, not_latin], [not_latin, not_orthogonal]):
+        with pytest.raises(checkers.AuditError, match=checkers.NOT_LATIN):
+            search._full_check(GF2, 4, np.stack(group))
+    for group in ([not_latin, not_bipermutive], [not_bipermutive, not_latin]):
+        with pytest.raises(ValueError, match=checkers.NOT_BIPERMUTIVE):
+            search._full_check(GF2, 4, np.stack(group))
+
+
+def test_scan_makes_one_full_check(monkeypatch):
+    calls = []
+    full_check = search._full_check
+    monkeypatch.setattr(search, "_full_check", lambda *args: calls.append(len(args[2])) or full_check(*args))
+    st = scan_soca(6).stats
+    assert calls == [16]  # 16 blocks of 4,096 rules, one full check
+    counted = (st["enumerated"], st["diagonal_rejected"], st["prefix_rejected"], st["fully_checked"])
+    assert counted == (65536, 65064, 456, 16)
+
+
+@pytest.mark.parametrize("field,d,index", [(GF2, 2, 0), (GF2, 5, 7), (GF2, 6, 65536), (GF3, 3, 1000)])
+def test_empty_range_gives_no_hits(field, d, index):
+    hits, stats = search._scan_range(field, d, index, index)
+    counts = ("enumerated", "diagonal_rejected", "prefix_rejected", "fully_checked")
+    assert hits == [] and [stats[k] for k in counts] == [0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("field,d", _SMALL_SPACES + [(GF2, 6)])
 def test_diagonal_survivors_are_balanced(field, d):
     # a bijective diagonal takes every value q^(d-2) times in each cell, so
@@ -430,6 +482,30 @@ def test_worker_count_validation(monkeypatch):
     assert chunks[0][0] == 0 and chunks[-1][1] == 10**6
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
     assert search._worker_count(10**9) == 2
+
+
+def test_scans_check_workers_without_the_cpu_count(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("a scan asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    assert scan_soca(5).n_soca == 8
+    assert find_nonlinear_soca(4, workers=3) == []
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        scan_soca(5, workers=0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "-d", "5", "--workers", "0"])
+    assert exc.value.code == 2 and "--workers" in capsys.readouterr().err
+
+
+def test_hit_polynomials_are_not_rebuilt(monkeypatch):
+    expected = [scan_soca(d, q=q).key() for d, q in ((3, 2), (4, 2), (5, 2), (6, 2), (3, 3))]
+
+    def refuse(self):
+        raise AssertionError("a scan rebuilt a hit's polynomial")
+
+    monkeypatch.setattr(LinearRule, "polynomial", refuse)
+    assert [scan_soca(d, q=q).key() for d, q in ((3, 2), (4, 2), (5, 2), (6, 2), (3, 3))] == expected
 
 
 def test_count_linear_small_range():
