@@ -3,8 +3,9 @@
 Elements are plain integers in ``0..q-1``.  For a prime field the integer is
 the residue mod p.  For a binary extension field (p = 2, k > 1) it is the bit
 vector of a polynomial residue modulo a fixed irreducible polynomial of
-degree k, least-significant bit = constant term, multiplied and reduced with
-the GF(2)[X] mask routines of :mod:`soca_kit.polynomials`.
+degree k, least-significant bit = constant term; it is multiplied through
+log/antilog tables, which the GF(2)[X] mask routines of
+:mod:`soca_kit.polynomials` build once per field.
 
 Arithmetic on integer arrays of elements lives here too (the ``*_array``
 methods): mod p in a prime field, XOR and dense tables in characteristic 2.
@@ -14,12 +15,12 @@ No other module tells the two kinds of field apart to combine elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import re
 
 import numpy as np
 
-from .polynomials import mask_divmod, mask_is_irreducible, mask_mul
+from .polynomials import _prime_factors, mask_divmod, mask_is_irreducible, mask_mul
 
 MAX_ORDER = 1 << 16
 
@@ -95,7 +96,7 @@ class Field:
         if not mask_is_irreducible(self._modulus_mask):
             raise ValueError(f"modulus {self.descriptor_modulus()} is reducible over GF(2)")
 
-    @property
+    @cached_property
     def q(self) -> int:
         """Field order p^k."""
         return self.p**self.k
@@ -128,14 +129,16 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        return mask_divmod(mask_mul(a, b), self._modulus_mask)[1]
+        exp, log = self._logs
+        return exp[log[a] + log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.descriptor()}")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        exp, log = self._logs
+        return exp[self.q - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -153,25 +156,25 @@ class Field:
             e >>= 1
         return r
 
+    def _addmul(self, c: int, xs, ys) -> list[int]:
+        """The list [x + c*y for x, y in zip(xs, ys)] for c != 0: the inner
+        loop of polynomial arithmetic, mod p or through the log tables.
+        Dense q-by-q tables measured no faster for GF(3) and GF(4) counts,
+        and building them for GF(2^8) took 25 ms of a one-rule `check`."""
+        if self.k == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        exp, log = self._logs
+        lc = log[c]
+        return [x ^ exp[lc + log[y]] if y else x for x, y in zip(xs, ys)]
+
     @cached_property
     def _modulus_mask(self) -> int:
         return sum(c << i for i, c in enumerate(self.modulus))
 
     @cached_property
-    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """Antilog and log tables of GF(2^k) to the first generator g of its
-        multiplicative group: exp[i] = g^i for i < q - 1, log[exp[i]] = i
-        (log[0] is 0 and unused)."""
-        for g in range(2, self.q):
-            powers = [1]
-            while len(powers) < self.q - 1 and (x := self.mul(powers[-1], g)) != 1:
-                powers.append(x)
-            if len(powers) == self.q - 1:
-                break
-        exp = np.array(powers, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
-        log[exp] = np.arange(self.q - 1)
-        return exp, log
+    def _logs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _log_tables(self.k, self._modulus_mask)
 
     @cached_property
     def mul_table(self) -> np.ndarray:
@@ -182,8 +185,8 @@ class Field:
         if self.k == 1:
             t = a[:, None] * a % self.p
         else:
-            exp, log = self._exp_log
-            t = np.where((a[:, None] > 0) & (a > 0), exp[(log[:, None] + log) % (self.q - 1)], 0)
+            exp, log = (np.array(x, dtype=np.int64) for x in self._logs)
+            t = np.where((a[:, None] > 0) & (a > 0), exp[log[:, None] + log], 0)
         t.flags.writeable = False
         return t
 
@@ -191,14 +194,9 @@ class Field:
     def inv_table(self) -> np.ndarray:
         """Inverse of every nonzero element (index 0 unused): q entries, so
         built for prime fields of any order, for extension fields up to 256."""
-        if self.k == 1:
-            t = np.array([0] + [pow(a, -1, self.p) for a in range(1, self.q)], dtype=np.int64)
-        elif self.q > _TABLE_LIMIT:
+        if self.k > 1 and self.q > _TABLE_LIMIT:
             raise ValueError(f"no dense table for order {self.q} > {_TABLE_LIMIT}")
-        else:
-            exp, log = self._exp_log
-            t = exp[-log % (self.q - 1)]
-            t[0] = 0
+        t = np.array([0] + [self.inv(a) for a in range(1, self.q)], dtype=np.int64)
         t.flags.writeable = False
         return t
 
@@ -237,6 +235,36 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.descriptor()!r})"
+
+
+@lru_cache(maxsize=None)
+def _log_tables(k: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Antilog and log tables of GF(2^k) to the first generator g of its
+    multiplicative group: exp[i] = g^i, log[exp[i]] = i for i < q - 1 (log[0]
+    is 0 and unused).  exp runs twice round the group, so exp[log a + log b]
+    needs no reduction.  g is found by testing g^((q-1)/r) != 1 for the primes
+    r | q - 1, and each power is two lookups in tables of g times a byte, so
+    GF(2^16) takes about 25 ms, once per field (orbit by orbit: 0.1 s)."""
+    q = 1 << k
+
+    def mulmod(a: int, b: int) -> int:
+        return mask_divmod(mask_mul(a, b), modulus)[1]
+
+    def power(a: int, e: int) -> int:
+        r = 1
+        while e:
+            r, a, e = mulmod(r, a) if e & 1 else r, mulmod(a, a), e >> 1
+        return r
+
+    g = next(g for g in range(2, q) if all(power(g, (q - 1) // r) != 1 for r in _prime_factors(q - 1)))
+    low, high = [mulmod(b, g) for b in range(min(q, 256))], [mulmod(b << 8, g) for b in range(max(q >> 8, 1))]
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(low[exp[-1] & 255] ^ high[exp[-1] >> 8])
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    return tuple(exp * 2), tuple(log)
 
 
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:/([01]+))?$", re.IGNORECASE)

@@ -195,16 +195,8 @@ class Circulant:
         """Product via the associated polynomials mod X^n - 1."""
         if self.field != other.field or self.n != other.n:
             raise ValueError("circulant sizes or fields differ")
-        f, n = self.field, self.n
-        out = [0] * n
-        for i, a in enumerate(self.first_row):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.first_row):
-                if b:
-                    k = (i + j) % n
-                    out[k] = f.add(out[k], f.mul(a, b))
-        return Circulant(f, tuple(out))
+        p = (self.poly() * other.poly()) % x_pow_minus_one(self.field, self.n)
+        return Circulant(self.field, p.coeffs + (0,) * (self.n - len(p.coeffs)))
 
     def is_invertible(self) -> bool:
         """Unit test in GF(q)[X]/(X^n - 1): gcd with X^n - 1 must be 1."""

@@ -6,8 +6,13 @@ has an empty coefficient tuple and degree -inf.
 
 GF(2)[X] arithmetic lives in one place: the bitmask routines below
 (``mask_mul``, ``mask_divmod``, ``mask_gcd``, ``mask_is_irreducible``).  GF(2)
-``gcd`` and ``is_irreducible`` and the GF(2^k) field multiplication all run on
-them; the coefficient-tuple code is the path for q > 2.
+``gcd`` and ``is_irreducible`` and the GF(2^k) log tables run on them; the
+coefficient-tuple code is the path for q > 2.
+
+Both gcds keep remainders only (``mask_gcd``; ``_reduce`` on coefficient
+lists).  The public constructor checks every coefficient; ring operations
+build their results, elements already, through ``Poly._trusted``, and their
+inner loop is ``Field._addmul``.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ NEG_INF = float("-inf")
 ENUMERATION_CAP = 1 << 20  # largest q^m the exhaustive irreducibility oracle will scan
 # Highest degree parse_poly accepts; it bounds the work of one `poly` query.
 # Rabin's test is cubic in the degree: at degree 509 it took 0.1 s over GF(2)
-# on bitmasks and 165 s over GF(3) on coefficient tuples (2-core host).  For
-# q > 2 the worst case is the largest extension field: a dense polynomial of
-# degree 23 over GF(2^16) runs the whole chain in about 2 s (GF(3): 10 ms).
+# on bitmasks (2-core host).  For q > 2 the worst cases are the largest
+# fields, GF(2^16) and GF(65521): a dense polynomial of degree 53 with no root
+# runs the whole chain in 1.8-2.2 s over either (GF(3): about 0.1 s).
 MAX_PARSE_DEGREE = 512
-MAX_PARSE_DEGREE_Q = 24
+MAX_PARSE_DEGREE_Q = 53
 
 
 class Poly:
@@ -37,11 +42,21 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = [field.check(c) for c in coeffs]
+        self._set(field, [field.check(c) for c in coeffs])
+
+    def _set(self, field: Field, cs: list) -> None:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, field: Field, cs: list) -> "Poly":
+        """Poly of coefficients that field operations produced, so already
+        elements: the public constructor's check of each one is skipped."""
+        p = object.__new__(cls)
+        p._set(field, cs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -69,7 +84,7 @@ class Poly:
         """GF(2) polynomial from its ascending-coefficient bitmask."""
         if field.q != 2:
             raise ValueError("bitmask form is defined over GF(2) only")
-        return cls(field, tuple((mask >> i) & 1 for i in range(mask.bit_length())))
+        return cls._trusted(field, [(mask >> i) & 1 for i in range(mask.bit_length())])
 
     # -- basic structure -----------------------------------------------------
 
@@ -122,64 +137,53 @@ class Poly:
         if not isinstance(other, Poly) or other.field != self.field:
             raise ValueError("operands live in different fields")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", c: int) -> "Poly":
+        """self + c * other."""
         self._same_field(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, (f.add(self[i], other[i]) for i in range(n)))
+        a, b = list(self.coeffs), list(other.coeffs)
+        a += [0] * (len(b) - len(a))
+        b += [0] * (len(a) - len(b))
+        return Poly._trusted(self.field, self.field._addmul(c, a, b))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._same_field(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, (f.sub(self[i], other[i]) for i in range(n)))
+        return self._combine(other, self.field.neg(1))
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, (f.neg(c) for c in self.coeffs))
+        return Poly._trusted(self.field, [self.field.neg(c) for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_field(other)
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return Poly.zero(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        f, b = self.field, other.coeffs
+        out = [0] * max(len(self.coeffs) + len(b) - 1, 0)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
+            if a:
+                out[i : i + len(b)] = f._addmul(a, out[i : i + len(b)], b)
+        return Poly._trusted(f, out)
 
     def scale(self, c: int) -> "Poly":
         f = self.field
-        return Poly(f, (f.mul(c, a) for a in self.coeffs))
+        c = f.check(c)
+        return Poly._trusted(f, [f.mul(c, a) for a in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._same_field(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lc = f.inv(other.lc)
-        quo = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            shift = len(rem) - 1 - db
-            c = f.mul(rem[-1], inv_lc)
-            quo[shift] = c
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(c, b))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(f, quo), Poly(f, rem)
+        quo = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        rem = self._rem(other, quo)
+        return Poly._trusted(self.field, quo), rem
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        return self._rem(other, None)
+
+    def _rem(self, other: "Poly", quo: list | None) -> "Poly":
+        self._same_field(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly._trusted(self.field, _reduce(self.field, list(self.coeffs), other.coeffs, quo))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -226,17 +230,38 @@ class Poly:
         return f"Poly({self.field.descriptor()}, {self})"
 
 
+def _reduce(field: Field, rem: list, b: tuple, quo: list | None = None) -> list:
+    """rem mod b, computed in place on the coefficient list rem (b normalized,
+    nonzero).  Each step cancels the leading term with one pass over b; the
+    quotient's coefficients are written to quo only when it is given."""
+    db, head = len(b) - 1, b[:-1]
+    ninv, mul, addmul = field.neg(field.inv(b[-1])), field.mul, field._addmul
+    for s in range(len(rem) - len(b), -1, -1):
+        if c := rem[s + db]:
+            c = mul(c, ninv)
+            rem[s : s + db] = addmul(c, rem[s : s + db], head)
+            if quo is not None:
+                quo[s] = field.neg(c)
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(a, 0) = monic(a)."""
+    """Monic greatest common divisor; gcd(a, 0) = monic(a).  Euclid keeps
+    remainders only: on bitmasks over GF(2), on coefficient lists otherwise."""
     if a.field != b.field:
         raise ValueError("operands live in different fields")
-    if a.field.q == 2:
-        return Poly.from_mask(a.field, mask_gcd(a.to_mask(), b.to_mask()))
+    f = a.field
+    if f.q == 2:
+        return Poly.from_mask(f, mask_gcd(a.to_mask(), b.to_mask()))
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        a, b = b, _reduce(f, a, b)
+    return Poly._trusted(f, a).monic()
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -345,10 +370,14 @@ def mask_divmod(a: int, b: int) -> tuple[int, int]:
 
 
 def mask_gcd(a: int, b: int) -> int:
+    """Euclid on remainders only: no quotient bits, no call per step."""
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     while b:
-        a, b = b, mask_divmod(a, b)[1]
+        db = b.bit_length()
+        while (s := a.bit_length() - db) >= 0:
+            a ^= b << s
+        a, b = b, a
     return a
 
 

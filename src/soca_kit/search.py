@@ -49,6 +49,12 @@ from .squares import _CHUNK_CELLS, _cayley_plan, _window_indices
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
+# Candidate rules a count over q > 2 may test without force: (q-1)^2 q^(d-2)
+# summed over its diameters.  A gcd over q > 2 took 12-53 us per candidate,
+# against 2.6 us on bitmasks, so the slowest count admitted, GF(3) at d = 12
+# (236,196 candidates), took 12.6 s against 10.9 s for GF(2) at d = 24
+# (2-core host).
+COUNT_CANDIDATE_CAP_Q = 1 << 18
 # Filter: grid rows (and as many columns) the prefix stage evaluates, and
 # rules per block.  Of the 65,536 binary d=6 rules the diagonal leaves 472 and
 # four rows and columns then leave the 16 hits.
@@ -364,7 +370,8 @@ def _count_chunk_gf2(args) -> int:
 
 def _count_linear_gf2(d: int, workers: int) -> int:
     total = 1 << (d - 2)
-    if workers == 1 or total < 1 << 12:
+    # the CPU clamp is read only where a pool would start
+    if total < 1 << 12 or workers == 1 or (workers := _worker_count(workers)) == 1:
         return _count_chunk_gf2((d, 0, total))
     from concurrent.futures import ProcessPoolExecutor
 
@@ -377,7 +384,7 @@ def _count_linear_generic(field: Field, d: int) -> int:
     modulus = x_pow_minus_one(field, 2 * (d - 1))
     nonzero, digits = range(1, field.q), range(field.q)
     coeffs = itertools.product(nonzero, *[digits] * (d - 2), nonzero)
-    return sum(gcd(Poly(field, c), modulus).degree == 0 for c in coeffs)
+    return sum(gcd(modulus, Poly._trusted(field, list(c))).degree == 0 for c in coeffs)
 
 
 def count_linear_soca(
@@ -393,8 +400,10 @@ def count_linear_soca(
     Over GF(2) the rules have a_1 = a_d = 1 and free central coefficients and
     the test is gcd(p_f, X^(d-1) + 1) = 1 on bitmask polynomials; other fields
     run the generic gcd with X^(2(d-1)) - 1 over all nonzero a_1, a_d.
+    Without ``force`` a count stops at d = 24, and over q > 2 at
+    ``COUNT_CANDIDATE_CAP_Q`` candidate rules, before any work starts.
     """
-    workers = _worker_count(workers)
+    _check_workers(workers)
     if d_min < 2 or d_min > d_max:
         raise ValueError(f"bad diameter range {d_min}..{d_max}")
     if d_max > COUNT_DIAMETER_CAP and not force:
@@ -404,6 +413,11 @@ def count_linear_soca(
         field = _field_for_order(q)
     if field.q != q:
         raise ValueError("field does not match q")
+    candidates = (q - 1) * (q ** (d_max - 1) - q ** (d_min - 2))  # sum of (q-1)^2 q^(d-2)
+    if q > 2 and candidates > COUNT_CANDIDATE_CAP_Q and not force:
+        raise ScaleGuardError(
+            f"count of {candidates} candidate rules exceeds the guard of {COUNT_CANDIDATE_CAP_Q} for q > 2"
+        )
     counts = [
         _count_linear_gf2(d, workers) if q == 2 else _count_linear_generic(field, d)
         for d in range(d_min, d_max + 1)

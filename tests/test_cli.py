@@ -171,6 +171,18 @@ def test_count_guard(capsys):
     assert code == 2 and "--i-know" in err
 
 
+def test_count_candidate_guard_q_above_2(capsys, monkeypatch):
+    for argv, n in ((("-d", "20", "--field", "GF(3)"), 1549681956), (("-d", "3", "--field", "GF(2^9)"), 133693952)):
+        code, out, err = run(capsys, "count-linear", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: count of {n} candidate rules exceeds the guard of 262144 for q > 2 (pass --i-know to override)\n"
+    monkeypatch.setattr(cli.search, "COUNT_CANDIDATE_CAP_Q", 100)
+    code, out, err = run(capsys, "count-linear", "-d", "6", "--field", "GF(3)", "--format", "csv")
+    assert code == 2 and "count of 324 candidate rules" in err
+    code, out, _ = run(capsys, "count-linear", "-d", "6", "--field", "GF(3)", "--format", "csv", "--i-know")
+    assert code == 0 and out == "d,linear_soca\n6,144\n"
+
+
 def test_table1_golden_bytes(capsys, tmp_path):
     out_file = tmp_path / "t1.csv"
     code, _, _ = run(capsys, "table1", "--out", str(out_file))
@@ -233,11 +245,11 @@ def test_poly_degree_cap(capsys):
 
 
 def test_poly_degree_cap_for_q_above_2(capsys):
-    code, out, err = run(capsys, "poly", "1+x+2*x^25", "--field", "GF(3)")
+    code, out, err = run(capsys, "poly", "1+x+2*x^54", "--field", "GF(3)")
     assert code == 2 and out == ""
-    assert err == "error: term x^25 exceeds the degree cap of 24 for q > 2\n"
-    code, out, _ = run(capsys, "poly", "1+x+x^24", "--field", "GF(4)")
-    assert code in (0, 1) and "degree: 24 (diameter 25)" in out
+    assert err == "error: term x^54 exceeds the degree cap of 53 for q > 2\n"
+    code, out, _ = run(capsys, "poly", "1+x+x^53", "--field", "GF(4)")
+    assert code in (0, 1) and "degree: 53 (diameter 54)" in out
 
 
 def test_poly_gf3(capsys):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soca_kit.fields import DEFAULT_MODULI, Field, GF2, GF3, is_prime, parse_field
 from soca_kit.polynomials import irreducibles_of_degree
@@ -125,6 +126,34 @@ def test_field_axioms_exhaustive_small_orders():
             assert f.mul(a, 1) == a
             if a:
                 assert f.mul(a, f.inv(a)) == 1
+
+
+_DEFAULT_FIELDS = {k: Field(2, k) for k in DEFAULT_MODULI}
+
+
+@st.composite
+def _default_field_elements(draw):
+    f = _DEFAULT_FIELDS[draw(st.sampled_from(sorted(_DEFAULT_FIELDS)))]
+    return (f, *(draw(st.integers(0, f.q - 1)) for _ in range(3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_default_field_elements())
+def test_field_axioms_every_default_modulus(sample):
+    """The log-table arithmetic of every built-in GF(2^k) against the field
+    axioms and the bit-list product oracle."""
+    f, a, b, c = sample
+    k = f.k
+    expect = naive_mod2_polymul([(a >> i) & 1 for i in range(k)], [(b >> i) & 1 for i in range(k)], list(f.modulus))
+    assert f.mul(a, b) == sum(bit << i for i, bit in enumerate(expect[:k]))
+    assert f.mul(a, b) == f.mul(b, a)
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.mul(a, 1) == a and f.mul(a, 0) == 0
+    assert f.add(a, f.neg(a)) == 0
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.pow(a, f.q - 1) == 1
 
 
 def test_inverse_of_zero_is_domain_error():

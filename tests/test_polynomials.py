@@ -186,6 +186,111 @@ def test_gf2_gcd_and_irreducibility_properties(a, b, f, g):
     assert not is_irreducible(Poly.from_mask(GF2, f) * Poly.from_mask(GF2, g))
 
 
+def bits_gcd_gf2(a: list, b: list) -> list:
+    """Oracle: Euclid over GF(2) on ascending bit lists, with no masks and no
+    Poly, returning the gcd's bit list (every nonzero GF(2) polynomial is
+    monic)."""
+    a, b = a[:], b[:]
+    while any(b):
+        while b and not b[-1]:
+            b.pop()
+        while len(a) >= len(b):
+            if a[-1]:
+                for i, bit in enumerate(b):
+                    a[len(a) - len(b) + i] ^= bit
+            a.pop()
+        a, b = b, a
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def bits(mask: int) -> list:
+    return [(mask >> i) & 1 for i in range(mask.bit_length())]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_GF2_UP_TO_64, _GF2_UP_TO_64)
+def test_mask_gcd_matches_bit_list_oracle(a, b):
+    if a or b:
+        assert bits(mask_gcd(a, b)) == bits_gcd_gf2(bits(a), bits(b))
+
+
+# q > 2 fields on both paths of Field._addmul (mod p, and the GF(2^k) log
+# tables), below and above the 256 of the dense array tables
+_FIELDS_Q = (GF3, GF4, Field(5), Field(2, 8), Field(257), Field(2, 9))
+
+
+def _field_polys(max_deg):
+    def polys(field):
+        return st.lists(st.integers(0, field.q - 1), max_size=max_deg + 1).map(lambda cs: Poly(field, cs))
+
+    return st.sampled_from(_FIELDS_Q).flatmap(lambda f: st.tuples(polys(f), polys(f), polys(f)))
+
+
+def scalar_mul(f, a, b):
+    """Oracle: schoolbook product with one scalar Field call per term."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return out
+
+
+def scalar_divmod(f, a, b):
+    """Oracle: long division with one scalar Field call per term."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for s in range(len(a) - len(b), -1, -1):
+        c = f.div(rem[s + len(b) - 1], b[-1])
+        quo[s] = c
+        for i, y in enumerate(b):
+            rem[s + i] = f.sub(rem[s + i], f.mul(c, y))
+    return quo, rem
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_field_polys(9))
+def test_table_path_equals_checked_constructor(polys):
+    """Every ring operation's trusted result equals the checked constructor
+    applied to the scalar oracle's coefficients, with no trailing zeros."""
+    a, b, c = polys
+    f = a.field
+    pad = max(len(a.coeffs), len(b.coeffs))
+    results = {
+        "+": (a + b, [f.add(a[i], b[i]) for i in range(pad)]),
+        "-": (a - b, [f.sub(a[i], b[i]) for i in range(pad)]),
+        "neg": (-a, [f.neg(x) for x in a.coeffs]),
+        "*": (a * b, scalar_mul(f, a.coeffs, b.coeffs)),
+    }
+    if c:
+        quo, rem = scalar_divmod(f, a.coeffs, c.coeffs)
+        results["//"] = (a // c, quo)
+        results["%"] = (a % c, rem)
+        assert divmod(a, c) == (a // c, a % c)
+        results["scale"] = (a.scale(c.lc), [f.mul(c.lc, x) for x in a.coeffs])
+    for name, (got, want) in results.items():
+        assert got == Poly(f, want), name
+        assert not got.coeffs or got.coeffs[-1] != 0, name
+        assert all(type(x) is int for x in got.coeffs), name
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_field_polys(9))
+def test_gcd_is_monic_and_divides_both_inputs(polys):
+    a, b, c = polys
+    f = a.field
+    # a common factor c makes the gcd nontrivial more often
+    a, b = (a * c, b * c) if c else (a, b)
+    if a.is_zero and b.is_zero:
+        return
+    g = gcd(a, b)
+    assert g.lc == 1 and g == gcd(b, a)
+    for x in (a, b):
+        assert not any(scalar_divmod(f, x.coeffs, g.coeffs)[1])
+    if c and (a or b):
+        assert not any(scalar_divmod(f, g.coeffs, c.monic().coeffs)[1])  # c divides the gcd
+
+
 def test_text_roundtrip():
     assert str(P(GF2, 1, 1, 1)) == "1+x+x^2"
     assert str(Poly.zero(GF2)) == "0"
@@ -217,8 +322,11 @@ def test_parse_degree_cap():
     for field, text in ((GF2, "1+x^100000000"), (GF2, "1" * (MAX_PARSE_DEGREE + 2))):
         with pytest.raises(ValueError, match=f"degree cap of {MAX_PARSE_DEGREE}$"):
             parse_poly(field, text)
-    # q > 2: the tuple-polynomial Rabin test gets a lower cap
+    # q > 2: the tuple-polynomial Rabin test gets a lower cap, measured on the
+    # largest fields
+    assert MAX_PARSE_DEGREE_Q == 53
     assert parse_poly(GF3, f"1+x^{MAX_PARSE_DEGREE_Q}").degree == MAX_PARSE_DEGREE_Q
+    assert parse_poly(Field(2, 16), "1+x^53").degree == 53
     for field, text in ((GF3, f"x^{MAX_PARSE_DEGREE_Q + 1}+1"), (GF3, f"x^{MAX_PARSE_DEGREE + 1}+1"), (Field(2, 16), "1+x^100")):
         with pytest.raises(ValueError, match=f"degree cap of {MAX_PARSE_DEGREE_Q} for q > 2$"):
             parse_poly(field, text)

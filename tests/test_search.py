@@ -569,6 +569,44 @@ def test_count_linear_gf4():
     assert rep.field_descriptor == "GF(2^2)/111"
 
 
+def test_count_linear_golden_q_above_2():
+    """Counts over GF(3) and GF(4) as the tuple-polynomial gcd computed them
+    before it kept remainders only and skipped the coefficient checks."""
+    assert count_linear_soca(2, 8, q=3).counts == (0, 4, 16, 36, 144, 384, 1296)
+    assert count_linear_soca(2, 6, q=4).counts == (6, 27, 60, 432, 1518)
+
+
+def test_count_candidate_guard_q_above_2(monkeypatch):
+    # the cap is checked before any work: d = 20 over GF(3) is 1.5e9 gcds
+    for q, field, d_min, d_max, n in ((3, GF3, 20, 20, 4 * 3**18), (512, Field(2, 9), 3, 3, 511**2 * 512)):
+        with pytest.raises(ScaleGuardError, match=f"count of {n} candidate rules exceeds the guard of {1 << 18}"):
+            count_linear_soca(d_min, d_max, q=q, field=field)
+    assert search.COUNT_CANDIDATE_CAP_Q == 1 << 18
+    # the bench's ranges and GF(3) at d = 12 (236,196 candidates) are admitted;
+    # d = 11..12 (314,928) is not
+    counted = []
+    monkeypatch.setattr(search, "_count_linear_generic", lambda field, d: counted.append((field.q, d)) or 0)
+    monkeypatch.setattr(search, "_count_linear_gf2", lambda d, workers: counted.append((2, d)) or 0)
+    for q, d_min, d_max in ((3, 3, 8), (4, 2, 5), (3, 12, 12), (2, 2, 24)):
+        count_linear_soca(d_min, d_max, q=q)
+    assert len(counted) == 6 + 4 + 1 + 23
+    with pytest.raises(ScaleGuardError, match="count of 314928 candidate rules"):
+        count_linear_soca(11, 12, q=3)
+    assert count_linear_soca(11, 12, q=3, force=True).counts == (0, 0)
+
+
+def test_counts_check_workers_without_the_cpu_count(monkeypatch):
+    def refuse():
+        raise AssertionError("a count asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    assert count_linear_soca(3, 13).counts[-1] == 768
+    assert count_linear_soca(3, 13, workers=4).counts[:3] == (1, 2, 4)  # below the pool threshold
+    assert count_linear_soca(3, 5, q=3, workers=2).counts == (4, 16, 36)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        count_linear_soca(3, 5, workers=0)
+
+
 def test_count_worker_determinism():
     a = count_linear_soca(3, 14, workers=1)
     b = count_linear_soca(3, 14, workers=3)
