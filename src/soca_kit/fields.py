@@ -4,12 +4,14 @@ Elements are plain integers in ``0..q-1``.  For a prime field the integer is
 the residue mod p.  For a binary extension field (p = 2, k > 1) it is the bit
 vector of a polynomial residue modulo a fixed irreducible polynomial of
 degree k, least-significant bit = constant term; it is multiplied through
-log/antilog tables, which the GF(2)[X] mask routines of
-:mod:`soca_kit.polynomials` build once per field.
+one pair of log/antilog tables per field, which the GF(2)[X] mask routines of
+:mod:`soca_kit.polynomials` build.  The tables are zero-safe, so one lookup
+multiplies every pair of elements, zeros included.
 
 Arithmetic on integer arrays of elements lives here too (the ``*_array``
-methods): mod p in a prime field, XOR and dense tables in characteristic 2.
-No other module tells the two kinds of field apart to combine elements.
+methods): mod p in a prime field; XOR and numpy copies of the same log
+tables in characteristic 2.  No other module tells the two kinds of field
+apart to combine elements.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 
 import numpy as np
 
-from .polynomials import _prime_factors, mask_divmod, mask_is_irreducible, mask_mul
+from .polynomials import _prime_factors, mask_is_irreducible, mask_mod, mask_mul
 
 MAX_ORDER = 1 << 16
 
@@ -43,8 +45,6 @@ DEFAULT_MODULI = {
     15: 0b1000000000000011,
     16: 0b10000000000101011,
 }
-
-_TABLE_LIMIT = 256  # largest q for which dense q-by-q op tables are built
 
 
 def is_prime(n: int) -> bool:
@@ -77,6 +77,8 @@ class Field:
         if self.p**self.k > MAX_ORDER:
             raise ValueError(f"field order {self.p}^{self.k} exceeds {MAX_ORDER}")
         if self.k == 1:
+            if self.modulus:
+                raise ValueError("a prime field takes no modulus")
             object.__setattr__(self, "modulus", ())
             return
         if self.p != 2:
@@ -130,7 +132,7 @@ class Field:
         if self.k == 1:
             return (a * b) % self.p
         exp, log = self._logs
-        return exp[log[a] + log[b]] if a and b else 0
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -148,17 +150,12 @@ class Field:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        exp, log = self._logs
+        return exp[log[a] * e % (self.q - 1)] if a else 0**e
 
     def _addmul(self, c: int, xs, ys) -> list[int]:
-        """The list [x + c*y for x, y in zip(xs, ys)] for c != 0: the inner
-        loop of polynomial arithmetic, mod p or through the log tables.
+        """The list [x + c*y for x, y in zip(xs, ys)]: the inner loop of
+        polynomial arithmetic, mod p or through the log tables.
         Dense q-by-q tables measured no faster for GF(3) and GF(4) counts,
         and building them for GF(2^8) took 25 ms of a one-rule `check`."""
         if self.k == 1:
@@ -166,7 +163,7 @@ class Field:
             return [(x + c * y) % p for x, y in zip(xs, ys)]
         exp, log = self._logs
         lc = log[c]
-        return [x ^ exp[lc + log[y]] if y else x for x, y in zip(xs, ys)]
+        return [x ^ exp[lc + log[y]] for x, y in zip(xs, ys)]
 
     @cached_property
     def _modulus_mask(self) -> int:
@@ -177,28 +174,8 @@ class Field:
         return _log_tables(self.k, self._modulus_mask)
 
     @cached_property
-    def mul_table(self) -> np.ndarray:
-        """Dense q-by-q multiplication table, available for q <= 256."""
-        if self.q > _TABLE_LIMIT:
-            raise ValueError(f"no dense table for order {self.q} > {_TABLE_LIMIT}")
-        a = np.arange(self.q)
-        if self.k == 1:
-            t = a[:, None] * a % self.p
-        else:
-            exp, log = (np.array(x, dtype=np.int64) for x in self._logs)
-            t = np.where((a[:, None] > 0) & (a > 0), exp[log[:, None] + log], 0)
-        t.flags.writeable = False
-        return t
-
-    @cached_property
-    def inv_table(self) -> np.ndarray:
-        """Inverse of every nonzero element (index 0 unused): q entries, so
-        built for prime fields of any order, for extension fields up to 256."""
-        if self.k > 1 and self.q > _TABLE_LIMIT:
-            raise ValueError(f"no dense table for order {self.q} > {_TABLE_LIMIT}")
-        t = np.array([0] + [self.inv(a) for a in range(1, self.q)], dtype=np.int64)
-        t.flags.writeable = False
-        return t
+    def _log_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.array(t, dtype=np.int64) for t in self._logs)
 
     # -- integer arrays of elements (int64, or Python ints) -------------------
 
@@ -209,18 +186,18 @@ class Field:
         return (a - b) % self.p if self.k == 1 else np.bitwise_xor(a, b)
 
     def mul_array(self, a, b) -> np.ndarray:
-        return a * b % self.p if self.k == 1 else self.mul_table[a, b]
-
-    def inv_array(self, a) -> np.ndarray:
-        """Inverses of nonzero elements."""
-        return self.inv_table[a]
+        if self.k == 1:
+            return a * b % self.p
+        exp, log = self._log_arrays
+        return exp[log[a] + log[b]]
 
     def matmul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product.  A prime field takes numpy's @ and reduces once: a
         broadcast product and sum took 2.3-2.6x as long at n = 16 and 78."""
         if self.k == 1:
             return a @ b % self.p
-        return np.bitwise_xor.reduce(self.mul_table[a[:, :, None], b[None, :, :]], axis=1)
+        exp, log = self._log_arrays
+        return np.bitwise_xor.reduce(exp[log[a][:, :, None] + log[b][None, :, :]], axis=1)
 
     # -- text form ----------------------------------------------------------
 
@@ -239,16 +216,18 @@ class Field:
 
 @lru_cache(maxsize=None)
 def _log_tables(k: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Antilog and log tables of GF(2^k) to the first generator g of its
-    multiplicative group: exp[i] = g^i, log[exp[i]] = i for i < q - 1 (log[0]
-    is 0 and unused).  exp runs twice round the group, so exp[log a + log b]
-    needs no reduction.  g is found by testing g^((q-1)/r) != 1 for the primes
-    r | q - 1, and each power is two lookups in tables of g times a byte, so
-    GF(2^16) takes about 25 ms, once per field (orbit by orbit: 0.1 s)."""
+    """Zero-safe antilog and log tables of GF(2^k) to the first generator g of
+    its multiplicative group: exp[i] = g^i and log[exp[i]] = i for i < q - 1.
+    exp runs twice round the group, then 2(q - 1) + 1 zeros, and log[0] is
+    2(q - 1), so exp[log a + log b] = a*b for every pair, zeros included,
+    with no reduction and no branch.  g is found by testing g^((q-1)/r) != 1
+    for the primes r | q - 1, and each power is two lookups in tables of g
+    times a byte, so GF(2^16) takes about 25 ms, once per field (orbit by
+    orbit: 0.1 s)."""
     q = 1 << k
 
     def mulmod(a: int, b: int) -> int:
-        return mask_divmod(mask_mul(a, b), modulus)[1]
+        return mask_mod(mask_mul(a, b), modulus)
 
     def power(a: int, e: int) -> int:
         r = 1
@@ -261,10 +240,10 @@ def _log_tables(k: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     exp = [1]
     for _ in range(q - 2):
         exp.append(low[exp[-1] & 255] ^ high[exp[-1] >> 8])
-    log = [0] * q
+    log = [2 * (q - 1)] * q
     for i, x in enumerate(exp):
         log[x] = i
-    return tuple(exp * 2), tuple(log)
+    return tuple(exp * 2 + [0] * (2 * (q - 1) + 1)), tuple(log)
 
 
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:/([01]+))?$", re.IGNORECASE)

@@ -120,7 +120,7 @@ def _invertible(data: np.ndarray, f: Field) -> bool:
         if piv != c:
             a[[c, piv]] = a[[piv, c]]
         if a[c, c] != 1:
-            a[c] = f.mul_array(f.inv_array(a[c, c]), a[c])
+            a[c] = f.mul_array(f.inv(int(a[c, c])), a[c])
         rest = np.flatnonzero(a[:, c])
         rest = rest[rest != c]
         a[rest] = f.sub_array(a[rest], f.mul_array(a[rest, c][:, None], a[c][None, :]))

@@ -5,7 +5,7 @@ X^i) and normalized so the last coefficient is nonzero; the zero polynomial
 has an empty coefficient tuple and degree -inf.
 
 GF(2)[X] arithmetic lives in one place: the bitmask routines below
-(``mask_mul``, ``mask_divmod``, ``mask_gcd``, ``mask_is_irreducible``).  GF(2)
+(``mask_mul``, ``mask_mod``, ``mask_gcd``, ``mask_is_irreducible``).  GF(2)
 ``gcd`` and ``is_irreducible`` and the GF(2^k) log tables run on them; the
 coefficient-tuple code is the path for q > 2.
 
@@ -357,16 +357,14 @@ def mask_mul(a: int, b: int) -> int:
     return r
 
 
-def mask_divmod(a: int, b: int) -> tuple[int, int]:
+def mask_mod(a: int, b: int) -> int:
+    """a mod b, remainder only."""
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = b.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
+    db = b.bit_length()
+    while (s := a.bit_length() - db) >= 0:
+        a ^= b << s
+    return a
 
 
 def mask_gcd(a: int, b: int) -> int:
@@ -387,11 +385,11 @@ def mask_is_irreducible(f: int) -> bool:
     m = f.bit_length() - 1
     if m < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    x = mask_divmod(0b10, f)[1]
+    x = mask_mod(0b10, f)
     checkpoints = {m // r for r in _prime_factors(m)}
     h = x
     for k in range(1, m + 1):
-        h = mask_divmod(mask_mul(h, h), f)[1]
+        h = mask_mod(mask_mul(h, h), f)
         if k in checkpoints and mask_gcd(f, h ^ x) != 1:
             return False
     return h == x

@@ -27,17 +27,23 @@ def _table_dtype(q: int):
     return np.uint8 if q <= 256 else np.uint16
 
 
+def _check_table_size(q: int, diameter: int) -> None:
+    """Refuse a diameter below 1 or a table past MAX_TABLE_CELLS before any
+    work; past diameter 24 the refusal computes no power of q."""
+    if diameter < 1:
+        raise ValueError("diameter must be >= 1")
+    if diameter >= MAX_TABLE_CELLS.bit_length() or q**diameter > MAX_TABLE_CELLS:
+        raise ValueError(f"table of {q}^{diameter} entries exceeds the size cap")
+
+
 class LocalRule:
     """Lookup-table rule f: GF(q)^d -> GF(q)."""
 
     __slots__ = ("field", "diameter", "table")
 
     def __init__(self, field: Field, diameter: int, table):
-        if diameter < 1:
-            raise ValueError("diameter must be >= 1")
         q = field.q
-        if q**diameter > MAX_TABLE_CELLS:
-            raise ValueError(f"table of {q}^{diameter} entries exceeds the size cap")
+        _check_table_size(q, diameter)
         arr = np.array(table, dtype=_table_dtype(q), order="C")
         if arr.shape != (q**diameter,):
             raise ValueError(f"table must have q^d = {q**diameter} entries")
@@ -52,6 +58,7 @@ class LocalRule:
     def from_wolfram(cls, code: int, diameter: int) -> "LocalRule":
         """Binary rule from its Wolfram code; table bit v of the code is the
         output for the neighborhood whose big-endian value is v."""
+        _check_table_size(2, diameter)
         size = 1 << diameter
         if not 0 <= code < (1 << size):
             raise ValueError(f"Wolfram code {code} out of range for diameter {diameter}")
@@ -219,8 +226,7 @@ class LinearRule:
         _CHUNK entries it is the sum of two partial tables, over the leading
         and over the trailing half of the neighborhood, a block at a time."""
         f, q, d = self.field, self.field.q, self.diameter
-        if q**d > MAX_TABLE_CELLS:
-            raise ValueError(f"table of {q}^{d} entries exceeds the size cap")
+        _check_table_size(q, d)
         if q**d <= _CHUNK:
             return LocalRule(f, d, _partial_sums(f, self.coeffs))
         high, low = _partial_sums(f, self.coeffs[: d // 2]), _partial_sums(f, self.coeffs[d // 2 :])

@@ -423,6 +423,33 @@ def test_linear_table_size_refusal_kept(capsys):
     assert err == "error: table of 2^25 entries exceeds the size cap\n"
 
 
+def test_wolfram_diameter_refused_before_any_table(capsys):
+    code, out, err = run(capsys, "check", "--wolfram", "150", "-d", "40")
+    assert (code, out, err) == (2, "", "error: table of 2^40 entries exceeds the size cap\n")
+
+
+def test_prime_field_modulus_refused(capsys):
+    code, out, err = run(capsys, "check", "--linear", "1,1", "--field", "GF(3)/101")
+    assert (code, out, err) == (2, "", "error: a prime field takes no modulus\n")
+
+
+def test_methods_over_gf512(capsys):
+    field = ("--field", "GF(2^9)")
+    code, out, _ = run(capsys, "audit", "--linear", "1,3", *field)
+    assert code == 0
+    for name in ("bruteforce", "stacked-matrix", "gcd-general", "gcd-binary", "parity"):
+        assert f"{name}: True" in out
+    code, out, _ = run(capsys, "audit", "--linear", "1,1", *field)
+    assert code == 1
+    for name in ("bruteforce", "stacked-matrix", "gcd-general", "gcd-binary", "parity"):
+        assert f"{name}: False" in out
+    for method in ("stacked-matrix", "gcd-general", "gcd-binary"):
+        code, out, _ = run(capsys, "check", "--linear", "1,1", *field, "--method", method)
+        assert code == 1 and "certificate: gcd = 1+x" in out, method
+    code, out, _ = run(capsys, "check", "--linear", "1,1", *field, "--method", "bruteforce")
+    assert code == 1 and "not self-orthogonal" in out
+
+
 def test_import_leaves_the_process_pool_out():
     # only count_linear_soca with workers > 1 starts a pool; importing the
     # package and the CLI must not load multiprocessing

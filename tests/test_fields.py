@@ -176,39 +176,78 @@ def test_pow_and_div():
     assert GF4.pow(2, -1) == GF4.inv(2)
 
 
+_GF256_PRIMITIVE = Field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+
+
 @pytest.mark.parametrize(
-    "f", [GF2, GF3, Field(5), GF4, Field(2, 3), Field(2, 4)], ids=lambda f: f.descriptor()
+    "f",
+    [GF2, GF3, Field(5), GF4, Field(2, 3), Field(2, 4), Field(2, 8), _GF256_PRIMITIVE, Field(251), Field(257)],
+    ids=lambda f: f.descriptor(),
 )
 def test_array_methods_match_scalar_ops(f):
-    """Every array method against the scalar ops, on all q^2 pairs."""
+    """Every array method against the scalar ops, on all q^2 pairs.  The
+    default GF(2^8) modulus is not primitive (x has order 51), the second
+    one is."""
     a, b = (x.ravel() for x in np.meshgrid(np.arange(f.q), np.arange(f.q)))
     pairs = list(zip(a.tolist(), b.tolist()))
     assert f.add_array(a, b).tolist() == [f.add(x, y) for x, y in pairs]
     assert f.sub_array(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
     assert f.mul_array(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
-    assert f.inv_array(np.arange(1, f.q)).tolist() == [f.inv(x) for x in range(1, f.q)]
     elems = np.arange(f.q)
-    # inner dimension 1: the product table; inner dimension q: sums of products
+    # inner dimension 1: the product table; inner dimension s: sums of products
     assert f.matmul_array(elems[:, None], elems[None, :]).tolist() == [
         [f.mul(x, y) for y in range(f.q)] for x in range(f.q)
     ]
-    m, n = a.reshape(f.q, f.q), b.reshape(f.q, f.q)
-    expected = [[0] * f.q for _ in range(f.q)]
-    for i, j, k in itertools.product(range(f.q), repeat=3):
+    s = min(f.q, 16)
+    m, n = np.random.default_rng(f.q).integers(0, f.q, (2, s, s))
+    m[0], n[:, 0] = 0, 0
+    expected = [[0] * s for _ in range(s)]
+    for i, j, k in itertools.product(range(s), repeat=3):
         expected[i][j] = f.add(expected[i][j], f.mul(int(m[i, k]), int(n[k, j])))
     assert f.matmul_array(m, n).tolist() == expected
 
 
-@pytest.mark.parametrize("f", [Field(2, 8), Field(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)), Field(251), Field(257)])
-def test_full_tables_match_scalar_ops(f):
-    """The array-built tables against one scalar call per entry.  The default
-    GF(2^8) modulus is not primitive (x has order 51), the second one is."""
-    if f.q <= 256:
-        assert f.mul_table.tolist() == [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
-    else:
-        with pytest.raises(ValueError, match="no dense table"):
-            f.mul_table
-    assert f.inv_table.tolist() == [0] + [f.inv(a) for a in range(1, f.q)]
+def _mul_by_shift_and_add(f, a, b):
+    """Oracle: GF(2^k) product by shift-and-add, reducing by the modulus bits."""
+    modulus = sum(c << i for i, c in enumerate(f.modulus))
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> f.k:
+            a ^= modulus
+    return r
+
+
+@pytest.mark.parametrize("f", [Field(2, 9), Field(2, 16)], ids=lambda f: f.descriptor())
+def test_large_extension_ops_sampled(f):
+    """Past q = 256: scalar, list and array products against a shift-and-add
+    oracle on sampled pairs with zero operands, and pow and inv against it."""
+    rng = np.random.default_rng(f.k)
+    a = np.concatenate([[0, 0, 1, f.q - 1], rng.integers(0, f.q, 2000)])
+    b = np.concatenate([[0, f.q - 1, 0, 0], rng.integers(0, f.q, 2000)])
+    a[::7] = 0
+    expected = [_mul_by_shift_and_add(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expected
+    assert f.mul_array(a, b).tolist() == expected
+    c = int(b[4]) or 1
+    xs, ys = a.tolist(), b.tolist()
+    assert f._addmul(c, xs, ys) == [x ^ _mul_by_shift_and_add(f, c, y) for x, y in zip(xs, ys)]
+    m, n = a[:36].reshape(6, 6).tolist(), b[:36].reshape(6, 6).tolist()
+    expected = [[0] * 6 for _ in range(6)]
+    for i, j, k in itertools.product(range(6), repeat=3):
+        expected[i][j] ^= _mul_by_shift_and_add(f, m[i][k], n[k][j])
+    assert f.matmul_array(np.array(m), np.array(n)).tolist() == expected
+    for x, e in zip(a[:50].tolist(), range(50)):
+        power = 1
+        for _ in range(e):
+            power = _mul_by_shift_and_add(f, power, x)
+        assert f.pow(x, e) == power
+        if x:
+            assert _mul_by_shift_and_add(f, x, f.inv(x)) == 1
+            assert f.pow(x, -e) == f.pow(f.inv(x), e)
 
 
 def test_element_validation():
@@ -234,6 +273,9 @@ def test_parse_field_errors():
     for bad in ("GF(6)", "GF(12)", "F(2)", "GF(9)", "GF(2^2)/101"):
         with pytest.raises(ValueError):
             parse_field(bad)
+    with pytest.raises(ValueError, match="a prime field takes no modulus"):
+        parse_field("GF(3)/101")
+    assert Field(3, 1, []) == GF3 and hash(Field(3, 1, [])) == hash(GF3)
 
 
 def test_is_prime():

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from soca_kit import rules
 from soca_kit.fields import Field, GF2, GF3
 from soca_kit.matrices import transition_matrix
 from soca_kit.polynomials import Poly
@@ -54,6 +55,27 @@ def test_wolfram_0_and_range():
         LocalRule.from_wolfram(-1, 3)
 
 
+def test_diameter_and_size_refused_before_any_work():
+    for make in (lambda d: LocalRule.from_wolfram(1, d), lambda d: LocalRule(GF2, d, [])):
+        with pytest.raises(ValueError, match="diameter must be >= 1"):
+            make(-1)
+        with pytest.raises(ValueError, match="diameter must be >= 1"):
+            make(0)
+        with pytest.raises(ValueError, match=r"table of 2\^25 entries exceeds the size cap"):
+            make(25)
+        with pytest.raises(ValueError, match=r"table of 2\^1000000000 entries exceeds the size cap"):
+            make(10**9)
+    with pytest.raises(ValueError, match=r"table of 3\^16 entries exceeds the size cap"):
+        LinearRule(GF3, (1,) * 16).to_rule()
+
+    class NoPower(int):
+        def __pow__(self, e):
+            raise AssertionError(f"q**{e} computed for a diameter past the cap")
+
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        rules._check_table_size(NoPower(2), 25)
+
+
 def test_wolfram_roundtrip():
     for code in (0, 1, 30, 90, 105, 110, 150, 165, 255):
         assert LocalRule.from_wolfram(code, 3).wolfram_code == code
@@ -86,9 +108,11 @@ def test_large_linear_tables_match_scalar_evaluation():
             assert table[v] == lr(digits), (f, v)
 
 
-def test_linear_table_needs_dense_field_tables():
-    with pytest.raises(ValueError, match="no dense table"):
-        LinearRule(Field(2, 9), (1, 1)).to_rule()
+def test_linear_table_over_gf512_matches_scalar_evaluation():
+    lr = LinearRule(Field(2, 9), (1, 3))
+    table = lr.to_rule().table
+    for v in range(table.size):
+        assert table[v] == lr(divmod(v, 512)), v
 
 
 def test_permutivity():
