@@ -28,6 +28,8 @@ TABLE1_COMMENT = (
     "published tabulation is a typo"
 )
 
+_WORKERS_HELP = "checked to be >= 1 and otherwise unused: every command runs in one process"
+
 
 def _worker_count(text: str) -> int:
     try:
@@ -78,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="brute-force census of one or more diameters")
     p_scan.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 4 or 3..6")
     p_scan.add_argument("--field", default="GF(2)")
-    p_scan.add_argument("--workers", type=_worker_count, default=1)
+    p_scan.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     p_scan.add_argument("--i-know", action="store_true", help="override the desk-scale guards")
     p_scan.add_argument("--stats", action="store_true", help="print what each scan did to stderr")
     add_out_args(p_scan)
@@ -86,16 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count-linear", help="fast gcd count of linear self-orthogonal rules")
     p_count.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 17 or 3..16")
     p_count.add_argument("--field", default="GF(2)")
-    p_count.add_argument("--workers", type=_worker_count, default=1)
+    p_count.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     p_count.add_argument("--i-know", action="store_true")
     add_out_args(p_count)
 
     p_t1 = sub.add_parser("table1", help="census CSV for d = 3..6 over GF(2)")
-    p_t1.add_argument("--workers", type=_worker_count, default=1)
+    p_t1.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     p_t1.add_argument("--out", help="output file (stdout when omitted)")
 
     p_t2 = sub.add_parser("table2", help="linear self-orthogonal counts for d = 3..16 over GF(2)")
-    p_t2.add_argument("--workers", type=_worker_count, default=1)
+    p_t2.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     p_t2.add_argument("--out", help="output file (stdout when omitted)")
 
     p_poly = sub.add_parser("poly", help="analyze one associated polynomial")
@@ -130,14 +132,14 @@ class _UsageError(Exception):
 
 def _parse_diameters(spec: str) -> range:
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        ds = range(int(lo), int(hi) + 1)
-        if not ds:
-            raise _UsageError(f"empty diameter range {spec}: the first diameter exceeds the last")
-        return ds
-    d = int(spec)
-    return range(d, d + 1)
+    lo, dots, hi = spec.partition("..")
+    try:
+        ds = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise _UsageError(f"bad diameter {spec!r}: expected N or N..M") from None
+    if not ds:
+        raise _UsageError(f"empty diameter range {spec}: the first diameter exceeds the last")
+    return ds
 
 
 def _parse_rule(args, field: Field) -> tuple[LocalRule | LinearRule, str]:

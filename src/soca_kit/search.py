@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -50,10 +49,11 @@ from .squares import _CHUNK_CELLS, _cayley_plan, _window_indices
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
 # Candidate rules a count over q > 2 may test without force: (q-1)^2 q^(d-2)
-# summed over its diameters.  A gcd over q > 2 took 12-53 us per candidate,
-# against 2.6 us on bitmasks, so the slowest count admitted, GF(3) at d = 12
-# (236,196 candidates), took 12.6 s against 10.9 s for GF(2) at d = 24
-# (2-core host).
+# summed over its diameters.  The slowest count admitted, GF(3) at d = 12
+# (236,196 candidates, 157,464 of them with p(1) != 0 and so a gcd on
+# coefficient lists), took 13.8-14.3 s against 6.4-10.6 s for GF(2) at d = 24
+# (2^21 bitmask gcds); without the p(1) filter they took 18.5-23.0 s and
+# 13.5 s (2-core host, its pace varying between runs).
 COUNT_CANDIDATE_CAP_Q = 1 << 18
 # Filter: grid rows (and as many columns) the prefix stage evaluates, and
 # rules per block.  Of the 65,536 binary d=6 rules the diagonal leaves 472 and
@@ -239,7 +239,8 @@ def _full_check(field: Field, d: int, tables: np.ndarray) -> np.ndarray:
 def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int], dict]:
     """Self-orthogonal rule indices in start..stop-1, and the scan's stats.
     The diagonal and prefix stages run block by block; the survivors of all
-    blocks then go through one full check."""
+    blocks then go through one full check.  Only blocks with survivors are
+    kept, so memory does not grow with the length of the range."""
     stats = dict(enumerated=stop - start, diagonal_rejected=0, prefix_rejected=0, fully_checked=0,
                  filter_s=0.0, check_s=0.0)
     survivors, tables, t0 = [], [], time.perf_counter()
@@ -247,17 +248,21 @@ def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int],
         block = np.arange(lo, min(lo + _BLOCK_RULES, stop), dtype=np.int64)
         kept = block[_balanced(field, d, block)]
         kept = kept[~_repeats(_ring_diagonals(field, d, kept))]
+        stats["diagonal_rejected"] += len(block) - len(kept)
         kept_tables = _block_tables(field, d, kept)
         passed = ~_repeats(_filter_codes(field, d, kept_tables))
-        survivors.append(kept[passed])
-        tables.append(kept_tables[passed])
-        stats["diagonal_rejected"] += len(block) - len(kept)
-        stats["prefix_rejected"] += len(kept) - len(survivors[-1])
+        kept, kept_tables = kept[passed], kept_tables[passed]
+        stats["prefix_rejected"] += len(passed) - len(kept)
+        if len(kept):
+            survivors.append(kept)
+            tables.append(kept_tables)
+    t1 = time.perf_counter()
+    stats["filter_s"] = t1 - t0
     if not survivors:
         return [], stats
-    survivors, t1 = np.concatenate(survivors), time.perf_counter()
+    survivors = np.concatenate(survivors)
     hits = survivors[_full_check(field, d, np.concatenate(tables))].tolist()
-    stats.update(fully_checked=len(survivors), filter_s=t1 - t0, check_s=time.perf_counter() - t1)
+    stats.update(fully_checked=len(survivors), check_s=time.perf_counter() - t1)
     return hits, stats
 
 
@@ -267,21 +272,9 @@ def _check_workers(workers: int) -> int:
     return workers
 
 
-def _worker_count(workers: int) -> int:
-    """Processes for a count pool of ``workers`` requested: at least one,
-    clamped to the CPU count."""
-    return min(_check_workers(workers), os.cpu_count() or 1)
-
-
-def _chunks(total: int, workers: int):
-    n_chunks = max(min(_worker_count(workers) * 4, total), 1)
-    step = -(-total // n_chunks)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
 def _scan_indices(q: int, d: int, workers: int, force: bool) -> tuple[Field, int, list[int], dict]:
-    # ``workers`` is validated but unused: one process scans d = 6 in well
-    # under a tenth of a second, less than starting a pool costs.
+    # ``workers`` is validated but unused, as on every command: the package
+    # runs in one process, and a d = 6 scan takes about 9 ms.
     if q not in (2, 3):
         raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
@@ -362,29 +355,19 @@ def count_report_to_csv(report: LinearCountReport) -> str:
     return "\n".join([COUNT_CSV_HEADER, *rows]) + "\n"
 
 
-def _count_chunk_gf2(args) -> int:
-    d, start, stop = args
+def _count_linear_gf2(d: int) -> int:
+    # An even-weight central part gives p(1) = 0, so X+1 divides p and the modulus.
     modulus = (1 << (d - 1)) | 1
-    return sum(1 for central in range(start, stop) if mask_gcd(modulus | central << 1, modulus) == 1)
-
-
-def _count_linear_gf2(d: int, workers: int) -> int:
-    total = 1 << (d - 2)
-    # the CPU clamp is read only where a pool would start
-    if total < 1 << 12 or workers == 1 or (workers := _worker_count(workers)) == 1:
-        return _count_chunk_gf2((d, 0, total))
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(d, lo, hi) for lo, hi in _chunks(total, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_chunk_gf2, jobs))
+    centrals = range(1 << (d - 2))
+    return sum(mask_gcd(modulus | c << 1, modulus) == 1 for c in centrals if c.bit_count() & 1)
 
 
 def _count_linear_generic(field: Field, d: int) -> int:
+    # Coefficients summing to 0 give p(1) = 0, so X-1 divides p and the modulus.
     modulus = x_pow_minus_one(field, 2 * (d - 1))
     nonzero, digits = range(1, field.q), range(field.q)
     coeffs = itertools.product(nonzero, *[digits] * (d - 2), nonzero)
-    return sum(gcd(modulus, Poly._trusted(field, list(c))).degree == 0 for c in coeffs)
+    return sum(gcd(modulus, Poly._trusted(field, list(c))).degree == 0 for c in coeffs if reduce(field.add, c))
 
 
 def count_linear_soca(
@@ -399,12 +382,18 @@ def count_linear_soca(
 
     Over GF(2) the rules have a_1 = a_d = 1 and free central coefficients and
     the test is gcd(p_f, X^(d-1) + 1) = 1 on bitmask polynomials; other fields
-    run the generic gcd with X^(2(d-1)) - 1 over all nonzero a_1, a_d.
+    run the generic gcd with X^(2(d-1)) - 1 over all nonzero a_1, a_d.  Both
+    moduli vanish at X = 1, so a candidate with p_f(1) = 0 fails without a
+    gcd: over GF(2) one whose central coefficients have even weight, over
+    other fields one whose coefficients sum to 0.  The count runs in one
+    process; ``workers`` must be >= 1 but is otherwise unused.
     Without ``force`` a count stops at d = 24, and over q > 2 at
     ``COUNT_CANDIDATE_CAP_Q`` candidate rules, before any work starts.
     """
     _check_workers(workers)
-    if d_min < 2 or d_min > d_max:
+    if d_min < 2:
+        raise ValueError("bipermutive rules need diameter >= 2")
+    if d_min > d_max:
         raise ValueError(f"bad diameter range {d_min}..{d_max}")
     if d_max > COUNT_DIAMETER_CAP and not force:
         raise ScaleGuardError(f"count up to d={d_max} exceeds the guard d <= {COUNT_DIAMETER_CAP}")
@@ -419,7 +408,7 @@ def count_linear_soca(
             f"count of {candidates} candidate rules exceeds the guard of {COUNT_CANDIDATE_CAP_Q} for q > 2"
         )
     counts = [
-        _count_linear_gf2(d, workers) if q == 2 else _count_linear_generic(field, d)
+        _count_linear_gf2(d) if q == 2 else _count_linear_generic(field, d)
         for d in range(d_min, d_max + 1)
     ]
     return LinearCountReport(

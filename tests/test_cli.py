@@ -137,6 +137,19 @@ def test_scan_diameter_below_two(capsys, spec):
     assert (code, out, err) == (2, "", "error: bipermutive rules need diameter >= 2\n")
 
 
+@pytest.mark.parametrize("spec", ["1", "0", "0..3", "-3"])
+def test_count_diameter_below_two(capsys, spec):
+    code, out, err = run(capsys, "count-linear", "-d", spec)
+    assert (code, out, err) == (2, "", "error: bipermutive rules need diameter >= 2\n")
+
+
+@pytest.mark.parametrize("command", ["scan", "count-linear"])
+@pytest.mark.parametrize("spec", ["3..", "x", "3...5", "..4", "3..4..5"])
+def test_malformed_diameter_spec(capsys, command, spec):
+    code, out, err = run(capsys, command, "-d", spec)
+    assert (code, out, err) == (2, "", f"error: bad diameter '{spec}': expected N or N..M\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_stats_go_to_stderr(capsys, fmt):
     code, plain, err = run(capsys, "scan", "-d", "3..5", "--format", fmt)
@@ -451,10 +464,15 @@ def test_methods_over_gf512(capsys):
 
 
 def test_import_leaves_the_process_pool_out():
-    # only count_linear_soca with workers > 1 starts a pool; importing the
-    # package and the CLI must not load multiprocessing
+    # every command runs in one process: importing the package and the CLI,
+    # and counting with workers > 1, load no process pool
     src = str(Path(soca_kit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, soca_kit, soca_kit.cli; print('multiprocessing' in sys.modules)"
+    code = (
+        "import sys, soca_kit, soca_kit.cli\n"
+        "soca_kit.count_linear_soca(14, 16, workers=4)\n"
+        "soca_kit.cli.main(['table2', '--workers', '2'])\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == (GOLDEN / "table2.csv").read_text() + "[]\n"

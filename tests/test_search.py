@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,7 @@ def test_diameter_below_two_refused(d):
         lambda: scan_soca(d),
         lambda: scan_soca(d, q=3),
         lambda: find_nonlinear_soca(d),
+        lambda: count_linear_soca(d, 3),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"^bipermutive rules need diameter >= 2$") as exc:
@@ -346,6 +348,26 @@ def test_empty_range_gives_no_hits(field, d, index):
     assert hits == [] and [stats[k] for k in counts] == [0, 0, 0, 0]
 
 
+def test_slice_without_survivors_keeps_its_stats():
+    # no rule among the first 4,096 of GF(2) d = 7 has a transversal diagonal
+    hits, stats = search._scan_range(GF2, 7, 0, 4096)
+    assert hits == [] and stats["diagonal_rejected"] == 4096
+    assert stats["fully_checked"] == 0 and stats["filter_s"] > 0 and stats["check_s"] == 0
+
+
+def test_scan_memory_does_not_grow_with_the_range():
+    search._scan_range(GF2, 7, 0, 4096)  # builds the cached plans untraced
+    peaks = []
+    for stop in (1 << 20, 1 << 22):
+        tracemalloc.start()
+        try:
+            search._scan_range(GF2, 7, 0, stop)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 << 10
+
+
 @pytest.mark.parametrize("field,d", _SMALL_SPACES + [(GF2, 6)])
 def test_diagonal_survivors_are_balanced(field, d):
     # a bijective diagonal takes every value q^(d-2) times in each cell, so
@@ -467,21 +489,13 @@ def test_scan_stats():
     assert counted == (65536, 65064, 456, 16)
 
 
-def test_worker_count_validation(monkeypatch):
+def test_worker_count_validation():
     with pytest.raises(ValueError, match="workers"):
         scan_soca(3, workers=0)
     with pytest.raises(ValueError, match="workers"):
         find_nonlinear_soca(3, workers=-1)
     with pytest.raises(ValueError, match="workers"):
         count_linear_soca(3, 5, workers=0)
-    with pytest.raises(ValueError, match="workers"):
-        search._chunks(100, 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    chunks = search._chunks(10**6, 10**9)
-    assert len(chunks) == 8
-    assert chunks[0][0] == 0 and chunks[-1][1] == 10**6
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    assert search._worker_count(10**9) == 2
 
 
 def test_scans_check_workers_without_the_cpu_count(monkeypatch, capsys):
@@ -533,40 +547,25 @@ def test_count_linear_matches_direct_fast_check():
         assert direct == c
 
 
-def test_count_linear_gf3():
-    rep = count_linear_soca(2, 3, q=3)
+@pytest.mark.parametrize("field", [GF3, Field(2, 2), Field(5), Field(2, 3)], ids=["GF(3)", "GF(4)", "GF(5)", "GF(8)"])
+def test_count_linear_matches_bruteforce_oracle(field):
+    # p(1) is a sum mod p over GF(3) and GF(5), and an XOR of k-bit elements
+    # over GF(4) and GF(8)
+    q = field.q
+    rep = count_linear_soca(2, 3, q=q, field=field)
     oracle = []
     for d in (2, 3):
         n = 0
-        for a1 in (1, 2):
-            for ad in (1, 2):
-                for central in range(3 ** (d - 2)):
-                    digits = tuple((central // 3**i) % 3 for i in range(d - 2))
-                    lr = LinearRule(GF3, (a1,) + digits + (ad,))
+        for a1 in range(1, q):
+            for ad in range(1, q):
+                for central in range(q ** (d - 2)):
+                    digits = tuple((central // q**i) % q for i in range(d - 2))
+                    lr = LinearRule(field, (a1,) + digits + (ad,))
                     if soca_bruteforce(lr.to_rule()).verdict:
                         n += 1
         oracle.append(n)
     assert rep.counts == tuple(oracle)
-
-
-def test_count_linear_gf4():
-    from soca_kit.fields import Field
-
-    f4 = Field(2, 2)
-    rep = count_linear_soca(2, 3, q=4)
-    oracle = []
-    for d in (2, 3):
-        n = 0
-        for a1 in (1, 2, 3):
-            for ad in (1, 2, 3):
-                for central in range(4 ** (d - 2)):
-                    digits = tuple((central // 4**i) % 4 for i in range(d - 2))
-                    lr = LinearRule(f4, (a1,) + digits + (ad,))
-                    if soca_bruteforce(lr.to_rule()).verdict:
-                        n += 1
-        oracle.append(n)
-    assert rep.counts == tuple(oracle)
-    assert rep.field_descriptor == "GF(2^2)/111"
+    assert rep.field_descriptor == field.descriptor()
 
 
 def test_count_linear_golden_q_above_2():
@@ -586,7 +585,7 @@ def test_count_candidate_guard_q_above_2(monkeypatch):
     # d = 11..12 (314,928) is not
     counted = []
     monkeypatch.setattr(search, "_count_linear_generic", lambda field, d: counted.append((field.q, d)) or 0)
-    monkeypatch.setattr(search, "_count_linear_gf2", lambda d, workers: counted.append((2, d)) or 0)
+    monkeypatch.setattr(search, "_count_linear_gf2", lambda d: counted.append((2, d)) or 0)
     for q, d_min, d_max in ((3, 3, 8), (4, 2, 5), (3, 12, 12), (2, 2, 24)):
         count_linear_soca(d_min, d_max, q=q)
     assert len(counted) == 6 + 4 + 1 + 23
@@ -601,7 +600,8 @@ def test_counts_check_workers_without_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", refuse)
     assert count_linear_soca(3, 13).counts[-1] == 768
-    assert count_linear_soca(3, 13, workers=4).counts[:3] == (1, 2, 4)  # below the pool threshold
+    assert count_linear_soca(3, 13, workers=4).counts[:3] == (1, 2, 4)
+    assert count_linear_soca(14, 16, workers=4).counts == (2048, 3136, 5062)
     assert count_linear_soca(3, 5, q=3, workers=2).counts == (4, 16, 36)
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         count_linear_soca(3, 5, workers=0)
