@@ -27,6 +27,7 @@ PARITY = "parity"
 IRREDUCIBLE = "irreducible-sufficient"
 NOT_BIPERMUTIVE = "rule is not bipermutive; self-orthogonality is undefined"
 NOT_LATIN = "bipermutive rule produced a non-Latin Cayley table"
+SHORT_DIAMETER = "bipermutive rules need diameter >= 2"
 
 
 class AuditError(RuntimeError):
@@ -184,6 +185,8 @@ AUTO = (GCD_BINARY, GCD_GENERAL, BRUTEFORCE)
 
 
 def _run(name: str, rule, lr):
+    if rule.diameter < 2:  # every verdict and audit passes here, whatever the method
+        raise ValueError(SHORT_DIAMETER)
     if name == BRUTEFORCE:
         require_grid_fits(rule.field, rule.diameter)
     return METHODS[name][1](rule.to_rule() if name == BRUTEFORCE else lr)

@@ -121,9 +121,13 @@ def _resolve_out(path: str | None) -> Path | None:
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
+        return
+    try:
+        if not out.parent.exists():
+            out.parent.mkdir(parents=True)
         out.write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 class _UsageError(Exception):
@@ -151,12 +155,18 @@ def _parse_rule(args, field: Field) -> tuple[LocalRule | LinearRule, str]:
             raise _UsageError("table-coded rules are binary; use --linear for other fields")
         if args.diameter is None:
             raise _UsageError("--diameter is required with --wolfram or --table")
-        code = args.wolfram if args.wolfram is not None else int(args.table, 16)
+        try:
+            code = args.wolfram if args.wolfram is not None else int(args.table, 16)
+        except ValueError:
+            raise _UsageError(f"bad --table {args.table!r}: expected a hex number") from None
         return LocalRule.from_wolfram(code, args.diameter), f"wolfram:{code}"
     text = args.linear.strip()
     if text.lower().startswith("linear:"):
         text = text[len("linear:") :]
-    coeffs = tuple(int(c) for c in text.split(","))
+    try:
+        coeffs = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise _UsageError(f"bad --linear {args.linear!r}: expected comma-separated integers a_1,...,a_d") from None
     lr = LinearRule(field, coeffs)
     if args.diameter is not None and args.diameter != lr.diameter:
         raise _UsageError(f"--diameter {args.diameter} contradicts {lr.diameter} coefficients")

@@ -27,7 +27,7 @@ import numpy as np
 from .fields import Field
 from .polynomials import Poly
 from .rules import LinearRule, LocalRule, _table_dtype
-from .squares import _cayley_plan, _window_indices
+from .squares import EncodingMap, _cayley_plan
 
 # The most values one chunk of index digits may take in the diagonal tables:
 # a byte of g's truth table over GF(2), two digits over GF(3).
@@ -98,8 +98,9 @@ def _ring_plan(field: Field, d: int):
     symbol tables, the count tables and the count code of a diagonal that
     holds each value q^(d-2) times per cell."""
     q, positions = field.q, field.q ** (d - 2)
-    blocks, out_weights, _ = _cayley_plan(field, d, False)
-    digit_at = _window_indices(np.hstack([blocks, blocks]), q, d) // q % positions
+    left, right, out_weights, _ = _cayley_plan(field, d, False)
+    digit_at = (left + right) // q % positions
+    blocks = EncodingMap(field, d - 1).blocks()
     maps = np.array(_latin_maps(field))
     diagonals = maps[:, np.arange(q) * (q + 1)]
     radix = (q ** (d - 1) + 1) ** np.arange(q)

@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .checkers import NOT_BIPERMUTIVE, NOT_LATIN, AuditError
+from .checkers import NOT_BIPERMUTIVE, NOT_LATIN, SHORT_DIAMETER, AuditError
 from .fields import GF2, GF3, Field
 from .polynomials import Poly, gcd, mask_gcd
 from .matrices import x_pow_minus_one
@@ -44,7 +44,7 @@ from .rulespace import (
     _rule_from_index,
     rule_space_size,
 )
-from .squares import _CHUNK_CELLS, _cayley_plan, _window_indices
+from .squares import _CHUNK_CELLS, _cayley_plan
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
@@ -143,21 +143,19 @@ def scan_reports_to_csv(reports, comment: str | None = None) -> str:
 
 @lru_cache(maxsize=32)
 def _filter_plan(field: Field, d: int):
-    """Grid cells the prefix stage evaluates, as neighborhood windows (see
-    ``squares._cayley_plan``): every cell of the first k rows and then the
-    first k columns of the other rows, at ``rows``/``cols``.  The set is
-    closed under transposition; ``mirror[s]`` is the position of cell s's
-    mirror.  Returns the output weights, the windows, ``mirror``, ``rows``
-    and ``cols``."""
-    q = field.q
-    blocks, out_weights, _ = _cayley_plan(field, d, False)
-    n = blocks.shape[0]
+    """Grid cells the prefix stage evaluates, as neighborhood windows
+    ``left[rows] + right[cols]`` (see ``squares._cayley_plan``): every cell
+    of the first k rows and then the first k columns of the other rows.
+    The set is closed under transposition; ``mirror[s]`` is the position of
+    cell s's mirror.  Returns the output weights, the windows, ``mirror``,
+    ``rows`` and ``cols``."""
+    left, right, out_weights, _ = _cayley_plan(field, d, False)
+    n = left.shape[0]
     k = min(_FILTER_ROWS, n)
     rows = np.concatenate([np.repeat(np.arange(k), n), np.repeat(np.arange(k, n), k)])
     cols = np.concatenate([np.tile(np.arange(n), k), np.tile(np.arange(k), n - k)])
     mirror = np.where(cols < k, cols * n + rows, k * n + (cols - k) * k + rows)
-    prefix = _window_indices(np.hstack([blocks[rows], blocks[cols]]), q, d)
-    return out_weights.astype(np.min_scalar_type(n - 1)), prefix, mirror, rows, cols
+    return out_weights.astype(np.min_scalar_type(n - 1)), left[rows] + right[cols], mirror, rows, cols
 
 
 def _filter_codes(field: Field, d: int, tables: np.ndarray) -> np.ndarray:
@@ -212,10 +210,11 @@ def _full_check(field: Field, d: int, tables: np.ndarray) -> np.ndarray:
     the range of the first check it fails.  In each group of at most
     _CHUNK_CELLS grid cells the earliest such place decides, so it raises as
     the oracle does: ``ValueError`` (not bipermutive) before ``AuditError``
-    (not Latin).  The Cayley windows are cached for every d within the
-    scan's 64-bit index guard.  Symbols are 0-based, as in the filter."""
+    (not Latin).  Grids are one gather through ``squares._cayley_plan``'s
+    windows, cached for every d within the scan's 64-bit index guard.
+    Symbols are 0-based, as in the filter."""
     n = field.q ** (d - 1)
-    weights, windows = _filter_plan(field, d)[0], _cayley_plan(field, d, False)[2]
+    weights, windows = _filter_plan(field, d)[0], _cayley_plan(field, d, False)[3]
     offsets, mirror, passing, (latin, pairs) = _check_plan(field, d)
     verdicts = np.empty(len(tables), dtype=bool)
     step = max(_CHUNK_CELLS // (n * n), 1)
@@ -392,7 +391,7 @@ def count_linear_soca(
     """
     _check_workers(workers)
     if d_min < 2:
-        raise ValueError("bipermutive rules need diameter >= 2")
+        raise ValueError(SHORT_DIAMETER)
     if d_min > d_max:
         raise ValueError(f"bad diameter range {d_min}..{d_max}")
     if d_max > COUNT_DIAMETER_CAP and not force:

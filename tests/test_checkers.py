@@ -300,3 +300,17 @@ def test_inapplicable_method_exits_2(capsys, argv, message):
     assert cli.main(["check", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [("check", "--method", m) for m in CHECK_METHODS] + [("check",), ("audit",)], ids=" ".join)
+@pytest.mark.parametrize("rule", [("--linear", "1"), ("--wolfram", "2", "-d", "1")], ids=" ".join)
+def test_diameter_one_exits_2(capsys, command, rule):
+    assert cli.main([*command, *rule]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: bipermutive rules need diameter >= 2\n"
+
+
+@pytest.mark.parametrize("command", [("check",), ("audit",), ("check", "--method", "bruteforce")], ids=" ".join)
+def test_diameter_one_nonlinear_exits_2(capsys, command):
+    assert cli.main([*command, "--wolfram", "1", "-d", "1"]) == 2
+    assert capsys.readouterr().err == "error: bipermutive rules need diameter >= 2\n"

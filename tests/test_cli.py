@@ -217,6 +217,38 @@ def test_out_dir_env(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "counts.csv").read_text() == "d,linear_soca\n3,1\n4,2\n5,4\n"
 
 
+@pytest.mark.parametrize("argv", [("table1",), ("scan", "-d", "3"), ("poly", "1+x"), ("check", "--wolfram", "150", "-d", "3")])
+@pytest.mark.parametrize("tail", ["x.csv", "sub/x.csv"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, tail):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_file = blocker / tail
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: cannot write {out_file}: Not a directory\n")
+
+
+def test_out_creates_missing_directories(capsys, tmp_path):
+    out_file = tmp_path / "a" / "b" / "r.txt"
+    code, out, _ = run(capsys, "poly", "1+x+x^2", "--out", str(out_file))
+    assert (code, out) == (0, "") and "verdict: self-orthogonal" in out_file.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--linear", ""), "bad --linear '': expected comma-separated integers a_1,...,a_d"),
+        (("--linear", "1,,1"), "bad --linear '1,,1': expected comma-separated integers a_1,...,a_d"),
+        (("--linear", "1,x"), "bad --linear '1,x': expected comma-separated integers a_1,...,a_d"),
+        (("--linear", "linear:1;1"), "bad --linear 'linear:1;1': expected comma-separated integers a_1,...,a_d"),
+        (("--table", "zz", "-d", "3"), "bad --table 'zz': expected a hex number"),
+        (("--table", "", "-d", "3"), "bad --table '': expected a hex number"),
+    ],
+)
+def test_malformed_rule_text(capsys, argv, message):
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_poly_reducible_but_self_orthogonal(capsys):
     code, out, _ = run(capsys, "poly", "1+x+x^5")
     assert code == 0

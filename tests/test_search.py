@@ -287,12 +287,12 @@ def test_full_check_refuses_as_the_oracle_does(monkeypatch):
         assert str(batched.value) == str(oracle.value) == checkers.NOT_BIPERMUTIVE
     # a wrong evaluation plan gives grids that are not Latin: refused, never a
     # verdict, both when only the columns and when only the rows fail
-    blocks, weights, windows = squares._cayley_plan(GF2, 4, False)
+    left, right, weights, windows = squares._cayley_plan(GF2, 4, False)
     row_copied, column_copied = windows.copy(), windows.copy()
     row_copied[8:16] = windows[:8]  # row 1 repeats row 0
     column_copied[1::8] = windows[::8]  # column 1 repeats column 0
     for broken in (row_copied, column_copied):
-        monkeypatch.setattr(search, "_cayley_plan", lambda *args: (blocks, weights, broken))
+        monkeypatch.setattr(search, "_cayley_plan", lambda *args: (left, right, weights, broken))
         with pytest.raises(checkers.AuditError, match=checkers.NOT_LATIN):
             search._full_check(GF2, 4, tables)
 
@@ -312,7 +312,7 @@ def test_full_check_error_precedence(monkeypatch):
     # the rule gives both windows the same value, and otherwise repeats a
     # symbol in row 2 and in column 0
     tables = rulespace._block_tables(GF2, 4, np.arange(16))
-    blocks, weights, windows = squares._cayley_plan(GF2, 4, False)
+    left, right, weights, windows = squares._cayley_plan(GF2, 4, False)
     broken = windows.copy()
     broken[16, 0] = windows[0, 0]
     grids = (tables[:, broken] @ weights).reshape(16, 8, 8)
@@ -321,7 +321,7 @@ def test_full_check_error_precedence(monkeypatch):
     not_latin = tables[latin.index(False)]
     not_orthogonal = tables[[i for i in range(16) if latin[i] and not verdicts[i]][0]]
     not_bipermutive = np.zeros(16, dtype=tables.dtype)
-    monkeypatch.setattr(search, "_cayley_plan", lambda *args: (blocks, weights, broken))
+    monkeypatch.setattr(search, "_cayley_plan", lambda *args: (left, right, weights, broken))
     assert search._full_check(GF2, 4, not_orthogonal[None]).tolist() == [False]
     for group in ([not_orthogonal, not_latin], [not_latin, not_orthogonal]):
         with pytest.raises(checkers.AuditError, match=checkers.NOT_LATIN):

@@ -215,13 +215,44 @@ def test_chunked_grid_build_matches_gcd_route():
     from soca_kit.checkers import soca_binary_fast, soca_bruteforce
     from soca_kit.squares import _cayley_plan
 
-    assert _cayley_plan(GF2, 11, False)[2] is None
+    assert _cayley_plan(GF2, 11, False)[3] is None
     for central, expected in ((0b000000001, True), (0b000000011, False)):
         coeffs = (1,) + tuple((central >> i) & 1 for i in range(9)) + (1,)
         lr = LinearRule(GF2, coeffs)
         fast = soca_binary_fast(lr).verdict
         assert fast is expected
         assert soca_bruteforce(lr.to_rule()).verdict == fast
+
+
+@pytest.mark.parametrize("field,d", [(GF2, 11), (GF3, 8)])
+@pytest.mark.parametrize("reversed_digits", [False, True])
+def test_chunked_grid_matches_definition(field, d, reversed_digits):
+    # past the cached-window threshold; a random table, so any misplaced
+    # window changes some cell.  Entry (i, j) is the CA run on psi(i) || psi(j)
+    from soca_kit.squares import _cayley_plan
+
+    assert _cayley_plan(field, d, reversed_digits)[3] is None
+    rng = np.random.default_rng(17 * d + reversed_digits)
+    rule = LocalRule(field, d, rng.integers(0, field.q, field.q**d))
+    enc = EncodingMap(field, d - 1, reversed_digits)
+    grid = cayley_table(rule, enc).grid
+    for i, j in rng.integers(1, enc.order + 1, size=(200, 2)).tolist() + [[1, 1], [enc.order] * 2]:
+        assert grid[i - 1, j - 1] == enc.phi(rule.nbca(enc.psi(i) + enc.psi(j)))
+
+
+def test_chunked_grid_memory_is_bounded():
+    # the chunked build at d = 11 holds one chunk's windows, not a full copy
+    # of the grid's inputs: 484 MB traced with per-chunk concatenated blocks
+    import tracemalloc
+
+    rule = LinearRule(GF2, (1,) + (0,) * 8 + (1, 1)).to_rule()
+    tracemalloc.start()
+    try:
+        cayley_table(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 20
 
 
 def test_serialization():
