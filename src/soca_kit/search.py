@@ -44,10 +44,12 @@ from .rulespace import (
     _rule_from_index,
     rule_space_size,
 )
-from .squares import _CHUNK_CELLS, _cayley_plan
+from .squares import _cayley_plan
 
 SCAN_DIAMETER_CAP = {2: 6, 3: 3}
 COUNT_DIAMETER_CAP = 24
+# Grid cells per group of tables in _full_check.
+_CHUNK_CELLS = 1 << 20
 # Candidate rules a count over q > 2 may test without force: (q-1)^2 q^(d-2)
 # summed over its diameters.  The slowest count admitted, GF(3) at d = 12
 # (236,196 candidates, 157,464 of them with p(1) != 0 and so a gcd on

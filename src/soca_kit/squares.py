@@ -11,6 +11,8 @@ Output cell t of grid cell (r, c) reads cells t..d-2 of block r and cells
 0..t of block c, so its lookup-table index is left[r, t] + right[c, t] (see
 ``_cayley_plan``).  Small grids gather from cached per-cell indices, faster
 there than the sum; larger ones gather from the sum a chunk at a time.
+Grids built here, and their transposes, become squares without the copy and
+range scan that a grid from outside gets.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from .fields import Field
 from .rules import LocalRule
 
 MAX_GRID_CELLS = 1 << 26
-_CHUNK_CELLS = 1 << 20
+# Cells per chunk of a large grid build.  Its int64 window sums and gathered
+# cells take 16(d-1) bytes per cell, 1.4 MB at GF(2) d = 12, in two buffers
+# that every chunk reuses: fresh per-chunk arrays cost a page fault per
+# page, and a grid at GF(2) d = 13 took 1.5-2.9 s that way against 0.6-1.2 s
+# (2-core host).
+_GRID_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -102,12 +109,22 @@ class LatinSquare:
         arr.flags.writeable = False
         self.grid = arr
 
+    @classmethod
+    def _trusted(cls, grid: np.ndarray) -> "LatinSquare":
+        """Square over an int32 grid of symbols 1..N that this module built:
+        the public constructor's copy and range scan are skipped."""
+        square = object.__new__(cls)
+        grid.flags.writeable = False
+        square.grid = grid
+        return square
+
     @property
     def order(self) -> int:
         return self.grid.shape[0]
 
     def transpose(self) -> "LatinSquare":
-        return LatinSquare(self.grid.T)
+        """The transposed square, a read-only view of the same grid."""
+        return LatinSquare._trusted(self.grid.T)
 
     def __eq__(self, other):
         return isinstance(other, LatinSquare) and np.array_equal(self.grid, other.grid)
@@ -150,12 +167,18 @@ def cayley_table(rule: LocalRule, encoding: EncodingMap | None = None) -> LatinS
     left, right, out_weights, windows = _cayley_plan(field, d, encoding.reversed_digits)
     table = rule.table.astype(np.int64, copy=False)
     if windows is not None:
-        return LatinSquare((1 + table[windows] @ out_weights).reshape(n, n))
+        return LatinSquare._trusted((1 + table[windows] @ out_weights).astype(np.int32).reshape(n, n))
     grid = np.empty((n, n), dtype=np.int32)
-    step = max(_CHUNK_CELLS // n, 1)
+    step = max(_GRID_CHUNK_CELLS // n, 1)
+    sums = np.empty((step, n, d - 1), dtype=np.int64)
+    cells = np.empty_like(sums)
     for lo in range(0, n, step):
-        grid[lo : lo + step] = 1 + table[left[lo : lo + step, None] + right] @ out_weights
-    return LatinSquare(grid)
+        k = min(step, n - lo)
+        np.add(left[lo : lo + k, None], right, out=sums[:k])
+        # every index is in range; "clip" lets take write to out unbuffered
+        np.take(table, sums[:k], out=cells[:k], mode="clip")
+        grid[lo : lo + k] = 1 + cells[:k] @ out_weights
+    return LatinSquare._trusted(grid)
 
 
 def is_latin(square: LatinSquare) -> bool:

@@ -167,10 +167,18 @@ def test_scan_stats_go_to_stderr(capsys, fmt):
 )
 def test_workers_below_one_rejected(capsys, argv):
     for bad in ("0", "-2"):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--workers", bad])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert run(capsys, *argv, "--workers", bad) == (2, "", f"error: workers must be >= 1, got {bad}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("check", "--wolfram", "150", "-d", "3"), ("audit", "--wolfram", "150", "-d", "3"), ("poly", "1+x")]
+)
+def test_csv_is_refused_where_it_is_not_rendered(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
 
 
 def test_count_linear_d17(capsys):
@@ -495,16 +503,40 @@ def test_methods_over_gf512(capsys):
     assert code == 1 and "not self-orthogonal" in out
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this package."""
+    src = str(Path(soca_kit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_import_leaves_the_process_pool_out():
     # every command runs in one process: importing the package and the CLI,
     # and counting with workers > 1, load no process pool
-    src = str(Path(soca_kit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, soca_kit, soca_kit.cli\n"
         "soca_kit.count_linear_soca(14, 16, workers=4)\n"
         "soca_kit.cli.main(['table2', '--workers', '2'])\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == (GOLDEN / "table2.csv").read_text() + "[]\n"
+    assert _fresh_python(code) == (GOLDEN / "table2.csv").read_text() + "[]\n"
+
+
+def test_import_fills_no_cache():
+    # plans, log tables and default moduli are built on first use: an import
+    # builds none of them (the bench's setup time includes the import)
+    caches = {
+        "fields": ("_default_modulus", "_log_tables"),
+        "squares": ("_cayley_plan",),
+        "rulespace": ("_rule_plan", "_ring_plan", "_affine_by_index"),
+        "search": ("_filter_plan", "_check_plan"),
+    }
+    code = (
+        "import importlib, soca_kit, soca_kit.cli\n"
+        f"for module, names in {caches!r}.items():\n"
+        "    m = importlib.import_module('soca_kit.' + module)\n"
+        "    for name in names:\n"
+        "        print(name, getattr(m, name).cache_info().currsize)"
+    )
+    names = [name for group in caches.values() for name in group]
+    assert _fresh_python(code) == "".join(f"{name} 0\n" for name in names)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soca_kit.fields import DEFAULT_MODULI, Field, GF2, GF3, is_prime, parse_field
+from soca_kit.fields import Field, GF2, GF3, is_prime, parse_field
 from soca_kit.polynomials import irreducibles_of_degree
 
 GF4 = Field(2, 2, (1, 1, 1))  # modulus 1 + x + x^2
@@ -55,29 +55,42 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         Field(2, 3, (0, 1, 0, 1))  # zero constant term
     with pytest.raises(ValueError):
-        Field(2, 17)  # no built-in modulus past degree 16
+        Field(2, 17)  # order 2^17 exceeds MAX_ORDER
     with pytest.raises(ValueError):
         Field(2, 2, (1, 1))  # degree too low
 
 
+def _divides(cand, bits):
+    """Oracle: long division of GF(2) bit lists (little-endian) leaves no
+    remainder."""
+    rem = list(bits)
+    while len(rem) >= len(cand):
+        if rem[-1]:
+            for j in range(len(cand)):
+                rem[len(rem) - len(cand) + j] ^= cand[j]
+        rem.pop()
+    return not any(rem)
+
+
+def _reducible(mask):
+    """Oracle: trial division by every GF(2) polynomial of degree 1..k/2."""
+    k = mask.bit_length() - 1
+    bits = [(mask >> i) & 1 for i in range(k + 1)]
+    return any(
+        _divides([(c >> i) & 1 for i in range(c.bit_length())], bits) for c in range(2, 1 << (k // 2 + 1))
+    )
+
+
 def test_default_moduli_are_irreducible_degree_k():
-    for k, mask in DEFAULT_MODULI.items():
+    for k in range(2, 17):
         f = Field(2, k)
         assert len(f.modulus) == k + 1 and f.modulus[-1] == 1 and f.modulus[0] == 1
-        # root-free and divisor-free by trial division on bit lists
-        bits = list(f.modulus)
-        for cand_mask in range(2, 1 << (k // 2 + 1)):
-            cand = [(cand_mask >> i) & 1 for i in range(cand_mask.bit_length())]
-            if len(cand) < 2:
-                continue
-            rem = list(bits)
-            while len(rem) >= len(cand):
-                if rem[-1]:
-                    for j in range(len(cand)):
-                        rem[len(rem) - len(cand) + j] ^= cand[j]
-                rem.pop()
-            assert any(rem), f"default modulus for k={k} divisible by {cand_mask:b}"
-        assert mask == sum(c << i for i, c in enumerate(f.modulus))
+        mask = sum(c << i for i, c in enumerate(f.modulus))
+        assert not _reducible(mask), k
+        # and the smallest: an even mask has the factor x, every odd one below
+        # is reducible
+        for smaller in range((1 << k) | 1, mask, 2):
+            assert _reducible(smaller), (k, bin(smaller))
 
 
 def test_explicit_modulus_accepted_iff_irreducible():
@@ -128,7 +141,7 @@ def test_field_axioms_exhaustive_small_orders():
                 assert f.mul(a, f.inv(a)) == 1
 
 
-_DEFAULT_FIELDS = {k: Field(2, k) for k in DEFAULT_MODULI}
+_DEFAULT_FIELDS = {k: Field(2, k) for k in range(2, 17)}
 
 
 @st.composite
@@ -276,6 +289,31 @@ def test_parse_field_errors():
     with pytest.raises(ValueError, match="a prime field takes no modulus"):
         parse_field("GF(3)/101")
     assert Field(3, 1, []) == GF3 and hash(Field(3, 1, [])) == hash(GF3)
+
+
+def _prime_power(q):
+    """Oracle: (p, k) with q = p^k, by trial division, or None."""
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)
+    if p is None:
+        return None
+    k, n = 0, q
+    while n % p == 0:
+        n, k = n // p, k + 1
+    return (p, k) if n == 1 else None
+
+
+def test_parse_field_orders_match_trial_division():
+    for q in range(4097):
+        pk = _prime_power(q)
+        if pk is None:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                parse_field(f"GF({q})")
+        elif pk[0] != 2 and pk[1] > 1:
+            with pytest.raises(ValueError, match="only in characteristic 2"):
+                parse_field(f"GF({q})")
+        else:
+            f = parse_field(f"GF({q})")
+            assert (f.p, f.k, f.q) == (*pk, q)
 
 
 def test_is_prime():

@@ -98,9 +98,11 @@ def test_linear_rule_extension_field():
 
 
 def test_large_linear_tables_match_scalar_evaluation():
-    # past one chunk the table is the sum of two partial tables
+    # every table is the sum of two partial tables, built a chunk at a time:
+    # d = 1 and 2, and sizes either side of 2^20 entries
     rng = random.Random(9)
-    for f, d in ((GF2, 21), (GF3, 13), (Field(2, 2), 11)):
+    small = [(f, d) for f in (GF2, GF3, Field(2, 2)) for d in (1, 2)]
+    for f, d in small + [(GF2, 20), (GF2, 21), (GF3, 12), (GF3, 13), (Field(2, 2), 11)]:
         lr = LinearRule(f, tuple(rng.randrange(f.q) for _ in range(d)))
         table = lr.to_rule().table
         for v in [0, 1, table.size - 1] + [rng.randrange(table.size) for _ in range(300)]:

@@ -138,6 +138,8 @@ def test_malformed_grids():
 def test_transpose():
     sq150 = cayley_table(LocalRule.from_wolfram(150, 3))
     assert sq150.transpose().transpose() == sq150
+    assert sq150.transpose() == LatinSquare(np.array(R150_GRID).T)
+    assert hash(sq150.transpose()) == hash(LatinSquare(np.array(R150_GRID).T))
     assert sq150.transpose() != sq150
     assert sq150.grid[0, 1] == sq150.transpose().grid[1, 0]
     # transposing the square equals running the CA on swapped halves
@@ -147,6 +149,18 @@ def test_transpose():
         for j in range(1, 5):
             swapped = enc.phi(rule.nbca(enc.psi(j) + enc.psi(i)))
             assert sq150.transpose().grid[i - 1, j - 1] == swapped
+
+
+def test_grids_from_outside_are_copied_built_ones_are_read_only():
+    grid = np.array(R150_GRID)
+    square = LatinSquare(grid)
+    grid[0, 0] = 4
+    assert square.grid.tolist() == R150_GRID and square.grid.dtype == np.int32
+    for built in (cayley_table(LocalRule.from_wolfram(150, 3)), square):
+        assert np.shares_memory(built.transpose().grid, built.grid)
+        for sq in (built, built.transpose()):
+            with pytest.raises(ValueError):
+                sq.grid[0, 0] = 2
 
 
 def test_orthogonality_90_150():
@@ -224,7 +238,8 @@ def test_chunked_grid_build_matches_gcd_route():
         assert soca_bruteforce(lr.to_rule()).verdict == fast
 
 
-@pytest.mark.parametrize("field,d", [(GF2, 11), (GF3, 8)])
+# GF(5) d = 6: 625 rows in chunks of 13, the last one short
+@pytest.mark.parametrize("field,d", [(GF2, 11), (GF3, 8), (Field(5), 6)])
 @pytest.mark.parametrize("reversed_digits", [False, True])
 def test_chunked_grid_matches_definition(field, d, reversed_digits):
     # past the cached-window threshold; a random table, so any misplaced
@@ -240,19 +255,33 @@ def test_chunked_grid_matches_definition(field, d, reversed_digits):
         assert grid[i - 1, j - 1] == enc.phi(rule.nbca(enc.psi(i) + enc.psi(j)))
 
 
-def test_chunked_grid_memory_is_bounded():
-    # the chunked build at d = 11 holds one chunk's windows, not a full copy
-    # of the grid's inputs: 484 MB traced with per-chunk concatenated blocks
+def _traced_peak(fn, *args):
     import tracemalloc
 
-    rule = LinearRule(GF2, (1,) + (0,) * 8 + (1, 1)).to_rule()
     tracemalloc.start()
     try:
-        cayley_table(rule)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 << 20
+
+
+def test_chunked_grid_memory_is_bounded():
+    # the chunked build at d = 11 holds the grid (4 MB) and one small chunk,
+    # not a copy of the grid's inputs: 484 MB traced with per-chunk
+    # concatenated blocks, 164 MB with chunks of 2^20 cells and a copied grid
+    rule = LinearRule(GF2, (1,) + (0,) * 8 + (1, 1)).to_rule()
+    assert _traced_peak(cayley_table, rule) < 32 << 20
+
+
+def test_bruteforce_memory_is_bounded():
+    # GF(2) d = 12: a 16 MB grid, its transpose as a view, and the pair codes
+    # and counts of check_orthogonal (32 MB each); 192 MB traced with chunks
+    # of 2^20 cells and copied grids
+    from soca_kit.checkers import soca_bruteforce
+
+    rule = LinearRule(GF2, (1,) + (0,) * 9 + (1, 1)).to_rule()
+    assert _traced_peak(soca_bruteforce, rule) < 100 << 20
 
 
 def test_serialization():
