@@ -47,12 +47,15 @@ class Field:
     modulus: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
+        # the order first, since is_prime factors p by trial division; for
+        # p >= 2 an exponent of 17 already exceeds the cap, so p^k is not
+        # computed for larger k
         if self.k < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.k}")
-        if self.p**self.k > MAX_ORDER:
+        if self.p ** min(self.k, MAX_ORDER.bit_length()) > MAX_ORDER:
             raise ValueError(f"field order {self.p}^{self.k} exceeds {MAX_ORDER}")
+        if not is_prime(self.p):
+            raise ValueError(f"characteristic {self.p} is not prime")
         if self.k == 1:
             if self.modulus:
                 raise ValueError("a prime field takes no modulus")
@@ -243,7 +246,10 @@ def parse_field(text: str) -> Field:
     if exp is not None:
         p, k = base, int(exp)
     else:
-        # the order written as a plain integer, e.g. GF(3) or GF(4)
+        # the order written as a plain integer, e.g. GF(3) or GF(4); refused
+        # before it is factored by trial division
+        if base > MAX_ORDER:
+            raise ValueError(f"field order {base} exceeds {MAX_ORDER}")
         primes = _prime_factors(base)
         if len(primes) != 1:
             raise ValueError(f"{base} is not a prime power")

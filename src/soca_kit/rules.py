@@ -167,10 +167,13 @@ class LocalRule:
         f, q, d = self.field, self.field.q, self.diameter
         constant = int(self.table[0])
         if q == 2:
-            a = self.anf()
-            if a.degree > 1:
+            # affine iff the ANF has no monomial beyond the constant and the
+            # d single variables: zero those d + 1 places and test the rest
+            anf = mobius_transform(self.table)
+            coeffs = tuple(int(anf[1 << (d - i)]) for i in range(1, d + 1))
+            anf[[0, *(1 << j for j in range(d))]] = 0
+            if anf.any():
                 return None
-            coeffs = tuple(int(a.coeffs[1 << (d - i)]) for i in range(1, d + 1))
             return LinearRule(f, coeffs), constant
         # strip the constant, then check f0(x + y) = f0(x) + f0(y) exhaustively
         shift = f.sub_array(self.table.astype(np.int64), constant)

@@ -1,7 +1,8 @@
 """Exhaustive rule-space scans: enumerate bipermutive rules, brute-force the
 self-orthogonal ones, classify them, and count linear self-orthogonal rules
-by the fast gcd test.  Scans stream rules in blocks of indices (see
-``rulespace``); the rule space is never materialized.
+that pass the fast gcd test, over GF(2) in closed form from the 2-cyclotomic
+cosets and over other fields by one gcd per candidate.  Scans stream rules in
+blocks of indices (see ``rulespace``); the rule space is never materialized.
 
 A scan decides rules in three stages, each batched over a block of rule
 indices at once.  A repeated pair in the superposition of a square with its
@@ -32,7 +33,7 @@ import numpy as np
 
 from .checkers import NOT_BIPERMUTIVE, NOT_LATIN, SHORT_DIAMETER, AuditError
 from .fields import GF2, GF3, Field
-from .polynomials import Poly, gcd, mask_gcd
+from .polynomials import Poly, gcd
 from .matrices import x_pow_minus_one
 from .rules import LocalRule
 from .rulespace import (
@@ -53,9 +54,9 @@ _CHUNK_CELLS = 1 << 20
 # Candidate rules a count over q > 2 may test without force: (q-1)^2 q^(d-2)
 # summed over its diameters.  The slowest count admitted, GF(3) at d = 12
 # (236,196 candidates, 157,464 of them with p(1) != 0 and so a gcd on
-# coefficient lists), took 13.8-14.3 s against 6.4-10.6 s for GF(2) at d = 24
-# (2^21 bitmask gcds); without the p(1) filter they took 18.5-23.0 s and
-# 13.5 s (2-core host, its pace varying between runs).
+# coefficient lists), took 13.8-14.3 s, and 18.5-23.0 s without the p(1)
+# filter (2-core host, its pace varying between runs).  GF(2) counts take no
+# gcd, so the cap does not apply to them.
 COUNT_CANDIDATE_CAP_Q = 1 << 18
 # Filter: grid rows (and as many columns) the prefix stage evaluates, and
 # rules per block.  Of the 65,536 binary d=6 rules the diagonal leaves 472 and
@@ -357,10 +358,25 @@ def count_report_to_csv(report: LinearCountReport) -> str:
 
 
 def _count_linear_gf2(d: int) -> int:
-    # An even-weight central part gives p(1) = 0, so X+1 divides p and the modulus.
-    modulus = (1 << (d - 1)) | 1
-    centrals = range(1 << (d - 2))
-    return sum(mask_gcd(modulus | c << 1, modulus) == 1 for c in centrals if c.bit_count() & 1)
+    """The number of degree-m polynomials p over GF(2) with p(0) = 1 that are
+    coprime to X^m + 1, m = d - 1, by inclusion-exclusion over the irreducible factors of X^m + 1.  Those of
+    X^m + 1 = (X^m' + 1)^(2^e), m' odd, have the sizes of the 2-cyclotomic
+    cosets of Z/m' as degrees (Lidl & Niederreiter, Finite Fields, ch. 2), and
+    a product H of some of them, of degree j, divides N(m - j) candidates:
+    N(0) = 1 and N(n) = 2^(n-1).  So count = sum_j c_j N(m - j), with
+    sum_j c_j t^j the product of (1 - t^s) over the coset sizes s."""
+    m = d - 1
+    odd = m // (m & -m)
+    coeffs, seen = [1] + [0] * m, set()
+    for r in range(odd):
+        size = 0
+        while r not in seen:
+            seen.add(r)
+            r, size = 2 * r % odd, size + 1
+        if size:  # multiply by 1 - t^size
+            for j in range(m, size - 1, -1):
+                coeffs[j] -= coeffs[j - size]
+    return coeffs[m] + sum(c << (m - 1 - j) for j, c in enumerate(coeffs[:m]))
 
 
 def _count_linear_generic(field: Field, d: int) -> int:
@@ -382,11 +398,11 @@ def count_linear_soca(
     """Count bipermutive linear rules passing the fast gcd test per diameter.
 
     Over GF(2) the rules have a_1 = a_d = 1 and free central coefficients and
-    the test is gcd(p_f, X^(d-1) + 1) = 1 on bitmask polynomials; other fields
-    run the generic gcd with X^(2(d-1)) - 1 over all nonzero a_1, a_d.  Both
-    moduli vanish at X = 1, so a candidate with p_f(1) = 0 fails without a
-    gcd: over GF(2) one whose central coefficients have even weight, over
-    other fields one whose coefficients sum to 0.  The count runs in one
+    the test is gcd(p_f, X^(d-1) + 1) = 1; the count is the closed form of
+    ``_count_linear_gf2``, at most O(d^2) integer steps per diameter and no
+    gcd.  Other fields run the generic gcd with X^(2(d-1)) - 1 over all
+    nonzero a_1, a_d; that modulus vanishes at X = 1, so a candidate whose
+    coefficients sum to 0 fails without a gcd.  The count runs in one
     process; ``workers`` must be >= 1 but is otherwise unused.
     Without ``force`` a count stops at d = 24, and over q > 2 at
     ``COUNT_CANDIDATE_CAP_Q`` candidate rules, before any work starts.

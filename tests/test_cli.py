@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,14 @@ def test_grid_cap_refused_before_any_table(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == "error: grid of 2^46 cells exceeds the size cap\n", argv
+
+
+def test_wolfram_rule_over_the_grid_cap_exits_fast(capsys):
+    # the d = 24 table is read for affinity without a loop over its ANF terms
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", "--wolfram", "1", "-d", "24")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out, err) == (2, "", "error: grid of 2^46 cells exceeds the size cap\n")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Field construction, arithmetic axioms, and descriptor parsing."""
 
 import itertools
+import re
+import time
 
 import numpy as np
 import pytest
@@ -289,6 +291,25 @@ def test_parse_field_errors():
     with pytest.raises(ValueError, match="a prime field takes no modulus"):
         parse_field("GF(3)/101")
     assert Field(3, 1, []) == GF3 and hash(Field(3, 1, [])) == hash(GF3)
+
+
+def test_big_orders_are_refused_before_factoring():
+    # trial division of 10^16 + 61 takes seconds; the order cap is checked first
+    for text, message in (
+        ("GF(10000000000000061)", "field order 10000000000000061 exceeds 65536"),
+        ("GF(1999999999978)", "field order 1999999999978 exceeds 65536"),
+        ("GF(100000)", "field order 100000 exceeds 65536"),
+        ("GF(10000000000000061^1)", "field order 10000000000000061^1 exceeds 65536"),
+        ("GF(3^100000000)", "field order 3^100000000 exceeds 65536"),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_field(text)
+        assert time.perf_counter() - t0 < 0.01, text
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^field order 10000000000000061\^1 exceeds 65536$"):
+        Field(10**16 + 61)
+    assert time.perf_counter() - t0 < 0.01
 
 
 def _prime_power(q):

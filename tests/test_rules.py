@@ -187,6 +187,28 @@ def test_as_linear_and_affine():
     assert nonlin.as_linear() is None and nonlin.as_affine() is None
 
 
+def test_as_affine_matches_anf_degree():
+    # affine iff the ANF has degree <= 1; then the ANF holds the constant and
+    # the coefficients, and the rule is its linear part plus the constant
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        for i in range(24):
+            if i % 2:
+                lr = LinearRule(GF2, tuple(int(c) for c in rng.integers(0, 2, size=d)))
+                table = lr.to_rule().table ^ (i // 2 % 2)  # every other one complemented
+            else:
+                table = rng.integers(0, 2, size=1 << d)
+            rule = LocalRule(GF2, d, table)
+            anf = rule.anf()
+            got = rule.as_affine()
+            if anf.degree > 1:
+                assert got is None
+            else:
+                lr, constant = got
+                assert constant == anf.constant
+                assert np.array_equal(lr.to_rule().table ^ constant, rule.table)
+
+
 def test_as_linear_general_field():
     lr = LinearRule(GF3, (1, 2, 1))
     assert lr.to_rule().as_linear() == lr

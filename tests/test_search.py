@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -572,6 +573,39 @@ def test_count_linear_golden_q_above_2():
     before it kept remainders only and skipped the coefficient checks."""
     assert count_linear_soca(2, 8, q=3).counts == (0, 4, 16, 36, 144, 384, 1296)
     assert count_linear_soca(2, 6, q=4).counts == (6, 27, 60, 432, 1518)
+
+
+def _count_linear_gf2_loop(d):
+    """Oracle: one bitmask gcd with X^(d-1) + 1 per candidate.  An even-weight
+    central part gives p(1) = 0, so X+1 divides p and the modulus."""
+    modulus = (1 << (d - 1)) | 1
+    centrals = range(1 << (d - 2))
+    return sum(mask_gcd(modulus | c << 1, modulus) == 1 for c in centrals if c.bit_count() & 1)
+
+
+def test_count_linear_gf2_matches_gcd_loop():
+    for d in range(2, 21):
+        assert search._count_linear_gf2(d) == _count_linear_gf2_loop(d), d
+
+
+def _order_of_2(m):
+    k, x = 1, 2 % m
+    while x != 1:
+        k, x = k + 1, 2 * x % m
+    return k
+
+
+def test_count_linear_gf2_closed_form_at_large_d():
+    # With m = d - 1, X^m + 1 is (X + 1)^m when m = 2^k, and X + 1 times one
+    # irreducible of degree m - 1 when m is a prime with 2 a primitive root
+    # mod m.  Either way 2^(m-2) of the 2^(m-1) candidates are coprime to it.
+    t0 = time.perf_counter()
+    counts = count_linear_soca(2, 200, force=True).counts
+    assert time.perf_counter() - t0 < 0.1
+    primes = [m for m in range(3, 200) if all(m % p for p in range(2, m)) and _order_of_2(m) == m - 1]
+    assert primes[:4] == [3, 5, 11, 13] and primes[-1] == 197
+    for m in [1 << k for k in range(1, 8)] + primes:
+        assert counts[m - 1] == 1 << (m - 2), m
 
 
 def test_count_candidate_guard_q_above_2(monkeypatch):
