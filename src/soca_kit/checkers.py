@@ -194,7 +194,11 @@ def _run(name: str, rule, lr):
 
 def soca_verdict(rule, method: str = "auto") -> SocaVerdict:
     """Verdict of ``auto`` or one of CHECK_METHODS on a LocalRule or a
-    LinearRule; a LinearRule's table is built only for brute force."""
+    LinearRule; a LinearRule's table is built only for brute force.  Only
+    ``auto`` and the coefficient methods classify the rule: brute force reads
+    the table alone."""
+    if method == BRUTEFORCE:
+        return _run(method, rule, None)
     lr = rule.as_linear()
     if method == "auto":
         method = next(name for name in AUTO if METHODS[name][0](lr))

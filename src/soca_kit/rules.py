@@ -49,10 +49,22 @@ class LocalRule:
             raise ValueError(f"table must have q^d = {q**diameter} entries")
         if arr.size and int(arr.max()) >= q:
             raise ValueError("table entries must be field elements")
-        arr.flags.writeable = False
+        self._set(field, diameter, arr)
+
+    @classmethod
+    def _trusted(cls, field: Field, diameter: int, table: np.ndarray) -> "LocalRule":
+        """Rule over a table of q^d field elements, of the table dtype, that
+        this package built: the public constructor's copy and range scan are
+        skipped and the array itself becomes read-only."""
+        rule = object.__new__(cls)
+        rule._set(field, diameter, table)
+        return rule
+
+    def _set(self, field: Field, diameter: int, table: np.ndarray) -> None:
+        table.flags.writeable = False
         self.field = field
         self.diameter = diameter
-        self.table = arr
+        self.table = table
 
     @classmethod
     def from_wolfram(cls, code: int, diameter: int) -> "LocalRule":
@@ -64,7 +76,7 @@ class LocalRule:
             raise ValueError(f"Wolfram code {code} out of range for diameter {diameter}")
         raw = code.to_bytes((size + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-        return cls(GF2, diameter, bits)
+        return cls._trusted(GF2, diameter, bits)
 
     @property
     def wolfram_code(self) -> int:
@@ -239,7 +251,7 @@ class LinearRule:
         rows = max(_CHUNK // low.size, 1)
         for lo in range(0, high.size, rows):
             table[lo : lo + rows] = f.add_array(high[lo : lo + rows, None], low[None, :])
-        return LocalRule(f, d, table.ravel())
+        return LocalRule._trusted(f, d, table.ravel())
 
 
 def _partial_sums(f: Field, products: np.ndarray) -> np.ndarray:

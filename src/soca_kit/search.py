@@ -53,10 +53,11 @@ COUNT_DIAMETER_CAP = 24
 _CHUNK_CELLS = 1 << 20
 # Candidate rules a count over q > 2 may test without force: (q-1)^2 q^(d-2)
 # summed over its diameters.  The slowest count admitted, GF(3) at d = 12
-# (236,196 candidates, 157,464 of them with p(1) != 0 and so a gcd on
-# coefficient lists), took 13.8-14.3 s, and 18.5-23.0 s without the p(1)
-# filter (2-core host, its pace varying between runs).  GF(2) counts take no
-# gcd, so the cap does not apply to them.
+# (236,196 candidates, 118,098 monic ones, 78,732 of those with p(1) != 0 and
+# so a gcd on coefficient lists), took 3.8-4.4 s against 7.9-9.0 s with a gcd
+# per multiple, and 13.8-14.3 s and 18.5-23.0 s before that (2-core host, its
+# pace varying between runs).  GF(2) counts take no gcd, so the cap does not
+# apply to them.
 COUNT_CANDIDATE_CAP_Q = 1 << 18
 # Filter: grid rows (and as many columns) the prefix stage evaluates, and
 # rules per block.  Of the 65,536 binary d=6 rules the diagonal leaves 472 and
@@ -380,11 +381,17 @@ def _count_linear_gf2(d: int) -> int:
 
 
 def _count_linear_generic(field: Field, d: int) -> int:
-    # Coefficients summing to 0 give p(1) = 0, so X-1 divides p and the modulus.
+    """The number of candidates p = a_1 + ... + a_d X^(d-1), a_1 and a_d
+    nonzero, coprime to X^(2(d-1)) - 1.  A nonzero scalar changes neither the
+    monic gcd nor whether p(1) = 0, so the q - 1 multiples of each monic p
+    (a_d = 1) share its verdict and only the monic ones run a gcd: GF(3) at
+    d = 12, 78,732 gcds, took 3.8-4.4 s (2-core host).  Coefficients
+    summing to 0 give p(1) = 0, so X-1 divides p and the modulus."""
     modulus = x_pow_minus_one(field, 2 * (d - 1))
     nonzero, digits = range(1, field.q), range(field.q)
-    coeffs = itertools.product(nonzero, *[digits] * (d - 2), nonzero)
-    return sum(gcd(modulus, Poly._trusted(field, list(c))).degree == 0 for c in coeffs if reduce(field.add, c))
+    coeffs = itertools.product(nonzero, *[digits] * (d - 2), (1,))
+    coprime = sum(gcd(modulus, Poly._trusted(field, list(c))).degree == 0 for c in coeffs if reduce(field.add, c))
+    return (field.q - 1) * coprime
 
 
 def count_linear_soca(
@@ -400,10 +407,12 @@ def count_linear_soca(
     Over GF(2) the rules have a_1 = a_d = 1 and free central coefficients and
     the test is gcd(p_f, X^(d-1) + 1) = 1; the count is the closed form of
     ``_count_linear_gf2``, at most O(d^2) integer steps per diameter and no
-    gcd.  Other fields run the generic gcd with X^(2(d-1)) - 1 over all
-    nonzero a_1, a_d; that modulus vanishes at X = 1, so a candidate whose
-    coefficients sum to 0 fails without a gcd.  The count runs in one
-    process; ``workers`` must be >= 1 but is otherwise unused.
+    gcd.  Other fields run the generic gcd with X^(2(d-1)) - 1 over nonzero
+    a_1 and a_d = 1, one candidate per class of nonzero scalar multiples, and
+    count each class q - 1 times (GF(3) at d = 12 took 3.8-4.4 s); that
+    modulus vanishes at X = 1, so a candidate whose coefficients sum to 0
+    fails without a gcd.  The count runs in one process; ``workers`` must be
+    >= 1 but is otherwise unused.
     Without ``force`` a count stops at d = 24, and over q > 2 at
     ``COUNT_CANDIDATE_CAP_Q`` candidate rules, before any work starts.
     """

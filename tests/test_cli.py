@@ -14,7 +14,7 @@ import soca_kit
 from soca_kit import checkers, cli
 from soca_kit.cli import main
 from soca_kit.fields import GF2, GF3, Field
-from soca_kit.rules import LinearRule
+from soca_kit.rules import LinearRule, LocalRule
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -353,6 +353,22 @@ def test_wolfram_rule_over_the_grid_cap_exits_fast(capsys):
     code, out, err = run(capsys, "check", "--wolfram", "1", "-d", "24")
     assert time.perf_counter() - t0 < 1
     assert (code, out, err) == (2, "", "error: grid of 2^46 cells exceeds the size cap\n")
+
+
+def test_explicit_bruteforce_reads_no_linear_part(capsys, monkeypatch):
+    # brute force never reads the linear part, so the d = 24 table is refused
+    # without its Moebius transform; auto still classifies to pick a method
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "check", "--wolfram", "1", "-d", "24", "--method", "bruteforce")
+    assert time.perf_counter() - t0 < 0.05
+    assert (code, out, err) == (2, "", "error: grid of 2^46 cells exceeds the size cap\n")
+    classified = []
+    as_linear = LocalRule.as_linear
+    monkeypatch.setattr(LocalRule, "as_linear", lambda self: classified.append(self) or as_linear(self))
+    assert run(capsys, "check", "--wolfram", "150", "-d", "3", "--method", "bruteforce")[0] == 0
+    assert classified == []
+    assert run(capsys, "check", "--wolfram", "150", "-d", "3")[0] == 0
+    assert len(classified) == 1
 
 
 @pytest.mark.parametrize(

@@ -327,3 +327,24 @@ def test_table_validation():
         LocalRule(GF2, 3, [0] * 7 + [2])
     with pytest.raises(ValueError):
         LocalRule(GF2, 25, [0])  # size cap
+
+
+def test_trusted_tables_are_not_copied(monkeypatch):
+    built = np.array([0, 1, 2, 1, 2, 0, 2, 0, 1], dtype=np.uint8)
+    rule = LocalRule._trusted(GF3, 2, built)
+    assert rule.table is built and not built.flags.writeable
+    given = built.copy()
+    public = LocalRule(GF3, 2, given)
+    assert public.table is not given and given.flags.writeable and not public.table.flags.writeable
+    given[0] = 3
+    with pytest.raises(ValueError, match="table entries must be field elements"):
+        LocalRule(GF3, 2, given)
+
+    # the package's own tables skip the public constructor
+    def refuse(*args):
+        raise AssertionError("a package-built table went through the public constructor")
+
+    monkeypatch.setattr(LocalRule, "__init__", refuse)
+    assert LinearRule(GF3, (1, 1)).to_rule().table.tobytes() == built.tobytes()
+    assert LocalRule.from_wolfram(150, 3).table.tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+    assert not LinearRule(Field(5), (1, 2, 3)).to_rule().table.flags.writeable

@@ -7,6 +7,7 @@ import os
 import random
 import time
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from soca_kit import checkers, cli, rulespace, search, squares
 from soca_kit.checkers import soca_binary_fast, soca_bruteforce, soca_linear_fast
 from soca_kit.fields import GF2, GF3, Field
-from soca_kit.polynomials import Poly, mask_gcd
+from soca_kit.matrices import x_pow_minus_one
+from soca_kit.polynomials import Poly, gcd, mask_gcd
 from soca_kit.rules import LinearRule, LocalRule
 from soca_kit.squares import cayley_table
 from soca_kit.search import (
@@ -586,6 +588,37 @@ def _count_linear_gf2_loop(d):
 def test_count_linear_gf2_matches_gcd_loop():
     for d in range(2, 21):
         assert search._count_linear_gf2(d) == _count_linear_gf2_loop(d), d
+
+
+def _count_linear_generic_loop(field, d):
+    """Oracle: one gcd with X^(2(d-1)) - 1 per candidate, every nonzero a_1
+    and a_d.  Coefficients summing to 0 give p(1) = 0, so X-1 divides p and
+    the modulus."""
+    modulus = x_pow_minus_one(field, 2 * (d - 1))
+    nonzero, digits = range(1, field.q), range(field.q)
+    coeffs = itertools.product(nonzero, *[digits] * (d - 2), nonzero)
+    return sum(gcd(modulus, Poly(field, c)).degree == 0 for c in coeffs if reduce(field.add, c))
+
+
+@pytest.mark.parametrize(
+    "field, d_max",
+    [(GF3, 8), (Field(2, 2), 6), (Field(5), 5), (Field(2, 3), 4)],
+    ids=["GF(3)", "GF(4)", "GF(5)", "GF(8)"],
+)
+def test_count_linear_generic_matches_gcd_loop(field, d_max):
+    counts = count_linear_soca(2, d_max, q=field.q, force=True, field=field).counts
+    assert counts == tuple(_count_linear_generic_loop(field, d) for d in range(2, d_max + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_scalar_multiples_share_the_gcd(data):
+    # why one monic candidate per scalar class decides the q > 2 counts
+    field = data.draw(st.sampled_from([GF3, Field(2, 2), Field(5), Field(2, 3)]))
+    element, nonzero = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
+    p = Poly(field, [data.draw(nonzero), *data.draw(st.lists(element, max_size=8)), data.draw(nonzero)])
+    modulus = x_pow_minus_one(field, 2 * p.degree)
+    assert gcd(p.scale(data.draw(nonzero)), modulus) == gcd(p, modulus)
 
 
 def _order_of_2(m):
