@@ -28,9 +28,6 @@ TABLE1_COMMENT = (
     "published tabulation is a typo"
 )
 
-_WORKERS_HELP = "checked to be >= 1 and otherwise unused: every command runs in one process"
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -58,11 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", *checkers.CHECK_METHODS),
         default="auto",
     )
-    p_check.add_argument("--audit", action="store_true", help="run every applicable method")
     p_check.add_argument("--show-square", action="store_true", help="print the Cayley table and the self-superposition")
     add_out_args(p_check, "json")
 
-    p_audit = sub.add_parser("audit", help="like check --audit")
+    p_audit = sub.add_parser("audit", help="run every applicable method on one rule")
     add_rule_args(p_audit)
     p_audit.add_argument("--show-square", action="store_true")
     add_out_args(p_audit, "json")
@@ -70,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="brute-force census of one or more diameters")
     p_scan.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 4 or 3..6")
     p_scan.add_argument("--field", default="GF(2)")
-    p_scan.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_scan.add_argument("--i-know", action="store_true", help="override the desk-scale guards")
     p_scan.add_argument("--stats", action="store_true", help="print what each scan did to stderr")
     add_out_args(p_scan, "csv", "json")
@@ -78,16 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count-linear", help="fast gcd count of linear self-orthogonal rules")
     p_count.add_argument("-d", "--diameter", required=True, help="diameter or range, e.g. 17 or 3..16")
     p_count.add_argument("--field", default="GF(2)")
-    p_count.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_count.add_argument("--i-know", action="store_true")
     add_out_args(p_count, "csv", "json")
 
     p_t1 = sub.add_parser("table1", help="census CSV for d = 3..6 over GF(2)")
-    p_t1.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_t1.add_argument("--out", help="output file (stdout when omitted)")
 
     p_t2 = sub.add_parser("table2", help="linear self-orthogonal counts for d = 3..16 over GF(2)")
-    p_t2.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_t2.add_argument("--out", help="output file (stdout when omitted)")
 
     p_poly = sub.add_parser("poly", help="analyze one associated polynomial")
@@ -198,7 +190,7 @@ def _cmd_check(args) -> int:
     rule, rule_text = _parse_rule(args, field)
     if args.show_square:
         require_grid_fits(rule.field, rule.diameter)
-    if getattr(args, "audit", False) or args.command == "audit":
+    if args.command == "audit":
         verdict = checkers.audit(rule)
     else:
         verdict = checkers.soca_verdict(rule, args.method)
@@ -231,10 +223,10 @@ def _render_scan(reports, fmt: str, comment: str | None = None) -> str:
 
 def _cmd_scan(args) -> int:
     field = parse_field(args.field)
-    reports = [
-        search.scan_soca(d, q=field.q, workers=args.workers, force=args.i_know)
-        for d in _parse_diameters(args.diameter)
-    ]
+    ds = _parse_diameters(args.diameter)
+    for d in ds:  # every refusal before the first scan
+        search._scan_space(field.q, d, args.i_know)
+    reports = [search.scan_soca(d, q=field.q, force=args.i_know) for d in ds]
     _emit(_render_scan(reports, args.format), _resolve_out(args.out))
     if args.stats:
         for r in reports:
@@ -259,22 +251,20 @@ def _render_count(report, fmt: str) -> str:
 def _cmd_count(args) -> int:
     field = parse_field(args.field)
     ds = _parse_diameters(args.diameter)
-    report = search.count_linear_soca(
-        ds.start, ds.stop - 1, q=field.q, workers=args.workers, force=args.i_know, field=field
-    )
+    report = search.count_linear_soca(ds.start, ds.stop - 1, q=field.q, force=args.i_know, field=field)
     _emit(_render_count(report, args.format), _resolve_out(args.out))
     return 0
 
 
 def _cmd_table1(args) -> int:
-    reports = [search.scan_soca(d, workers=args.workers) for d in range(3, 7)]
+    reports = [search.scan_soca(d) for d in range(3, 7)]
     text = search.scan_reports_to_csv(reports, comment=TABLE1_COMMENT)
     _emit(text, _resolve_out(args.out))
     return 0
 
 
 def _cmd_table2(args) -> int:
-    report = search.count_linear_soca(3, 16, workers=args.workers)
+    report = search.count_linear_soca(3, 16)
     _emit(search.count_report_to_csv(report), _resolve_out(args.out))
     return 0
 

@@ -1,8 +1,9 @@
 """Exhaustive rule-space scans: enumerate bipermutive rules, brute-force the
 self-orthogonal ones, classify them, and count linear self-orthogonal rules
 that pass the fast gcd test, over GF(2) in closed form from the 2-cyclotomic
-cosets and over other fields by one gcd per candidate.  Scans stream rules in
-blocks of indices (see ``rulespace``); the rule space is never materialized.
+cosets and over other fields by one gcd per candidate.  Everything runs in one
+process.  Scans stream rules in blocks of indices (see ``rulespace``); the
+rule space is never materialized.
 
 A scan decides rules in three stages, each batched over a block of rule
 indices at once.  A repeated pair in the superposition of a square with its
@@ -32,7 +33,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .checkers import NOT_BIPERMUTIVE, NOT_LATIN, SHORT_DIAMETER, AuditError
-from .fields import GF2, GF3, Field
+from .fields import Field, parse_field
 from .polynomials import Poly, gcd
 from .matrices import x_pow_minus_one
 from .rules import LocalRule
@@ -71,12 +72,16 @@ class ScaleGuardError(ValueError):
     """The request exceeds the desk-scale guard; pass force=True to override."""
 
 
+def _desk_scale_guard(job: str, field: Field, d: int, force: bool) -> None:
+    cap = SCAN_DIAMETER_CAP.get(field.q)
+    if not force and (cap is None or d > cap):
+        raise ScaleGuardError(f"{job} of q={field.q}, d={d} exceeds the desk-scale guard")
+
+
 def enumerate_bipermutive(field: Field, d: int, force: bool = False):
     """Yield every bipermutive rule of diameter d exactly once, by index."""
     total = rule_space_size(field, d)
-    cap = SCAN_DIAMETER_CAP.get(field.q)
-    if not force and (cap is None or d > cap):
-        raise ScaleGuardError(f"enumeration of q={field.q}, d={d} exceeds the desk-scale guard")
+    _desk_scale_guard("enumeration", field, d, force)
     for index in range(total):
         yield _rule_from_index(field, d, index)
 
@@ -269,40 +274,35 @@ def _scan_range(field: Field, d: int, start: int, stop: int) -> tuple[list[int],
     return hits, stats
 
 
-def _check_workers(workers: int) -> int:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def _scan_indices(q: int, d: int, workers: int, force: bool) -> tuple[Field, int, list[int], dict]:
-    # ``workers`` is validated but unused, as on every command: the package
-    # runs in one process, and a d = 6 scan takes about 9 ms.
+def _scan_space(q: int, d: int, force: bool) -> tuple[Field, int]:
+    """The field and rule count of a scan, after its refusals: the alphabet,
+    the desk-scale guard and the 64-bit rule index."""
     if q not in (2, 3):
         raise ValueError(f"brute-force scans support q in {{2, 3}}, got q = {q}")
     field = _field_for_order(q)
-    _check_workers(workers)
-    cap = SCAN_DIAMETER_CAP.get(field.q)
-    if not force and (cap is None or d > cap):
-        raise ScaleGuardError(f"scan of q={field.q}, d={d} exceeds the desk-scale guard")
+    _desk_scale_guard("scan", field, d, force)
     total = rule_space_size(field, d)
     if total > _INDEX_MAX:
         raise ValueError(f"a rule space of {total} rules exceeds the 64-bit rule index")
+    return field, total
+
+
+def _scan_indices(q: int, d: int, force: bool) -> tuple[Field, int, list[int], dict]:
+    field, total = _scan_space(q, d, force)
     return (field, total, *_scan_range(field, d, 0, total))
 
 
+@lru_cache(maxsize=8)
 def _field_for_order(q: int) -> Field:
-    if q not in (2, 3, 4):
-        raise ValueError(f"supported alphabet orders are 2, 3 and 4, got q = {q}")
-    return GF2 if q == 2 else GF3 if q == 3 else Field(2, 2)
+    """GF(q) as ``--field "GF(q)"`` reads it."""
+    return parse_field(f"GF({q})")
 
 
-def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> ScanReport:
-    """Brute-force every bipermutive rule of diameter d for self-orthogonality.
-    ``workers`` must be >= 1 but is otherwise unused: the scan runs in one
-    process."""
+def scan_soca(d: int, q: int = 2, force: bool = False) -> ScanReport:
+    """Brute-force every bipermutive rule of diameter d for self-orthogonality,
+    over GF(2) or GF(3)."""
     t0 = time.perf_counter()
-    field, total, hits, stats = _scan_indices(q, d, workers, force)
+    field, total, hits, stats = _scan_indices(q, d, force)
     affine, linear = _affine_by_index(field, d), _linear_polynomials(field, d)
     polys = sorted((linear[index] for index in hits if index in linear), key=Poly.code)
     return ScanReport(
@@ -319,9 +319,9 @@ def scan_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> Scan
     )
 
 
-def find_nonlinear_soca(d: int, q: int = 2, workers: int = 1, force: bool = False) -> list[LocalRule]:
+def find_nonlinear_soca(d: int, q: int = 2, force: bool = False) -> list[LocalRule]:
     """Self-orthogonal rules that are not even affine; expected empty for d <= 6."""
-    field, _, hits, _ = _scan_indices(q, d, workers, force)
+    field, _, hits, _ = _scan_indices(q, d, force)
     affine = _affine_by_index(field, d)
     return [_rule_from_index(field, d, index) for index in hits if index not in affine]
 
@@ -398,7 +398,6 @@ def count_linear_soca(
     d_min: int,
     d_max: int,
     q: int = 2,
-    workers: int = 1,
     force: bool = False,
     field: Field | None = None,
 ) -> LinearCountReport:
@@ -411,12 +410,11 @@ def count_linear_soca(
     a_1 and a_d = 1, one candidate per class of nonzero scalar multiples, and
     count each class q - 1 times (GF(3) at d = 12 took 3.8-4.4 s); that
     modulus vanishes at X = 1, so a candidate whose coefficients sum to 0
-    fails without a gcd.  The count runs in one process; ``workers`` must be
-    >= 1 but is otherwise unused.
+    fails without a gcd.  ``field`` defaults to GF(q) as ``--field "GF(q)"``
+    reads it.
     Without ``force`` a count stops at d = 24, and over q > 2 at
     ``COUNT_CANDIDATE_CAP_Q`` candidate rules, before any work starts.
     """
-    _check_workers(workers)
     if d_min < 2:
         raise ValueError(SHORT_DIAMETER)
     if d_min > d_max:

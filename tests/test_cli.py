@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output formats, golden files, guards."""
 
+import argparse
 import itertools
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import soca_kit
-from soca_kit import checkers, cli
+from soca_kit import checkers, cli, search
 from soca_kit.cli import main
 from soca_kit.fields import GF2, GF3, Field
 from soca_kit.rules import LinearRule, LocalRule
@@ -52,7 +53,7 @@ def test_check_linear_gf3(capsys):
 
 
 def test_check_linear_gf3_audit(capsys):
-    code, out, _ = run(capsys, "check", "--linear", "2,1,1", "--field", "GF(3)", "--audit")
+    code, out, _ = run(capsys, "audit", "--linear", "2,1,1", "--field", "GF(3)")
     assert code == 0
     assert "bruteforce: True" in out and "gcd-general: True" in out
 
@@ -164,11 +165,49 @@ def test_scan_stats_go_to_stderr(capsys, fmt):
 
 
 @pytest.mark.parametrize(
-    "argv", [("scan", "-d", "3"), ("count-linear", "-d", "3"), ("table1",), ("table2",)]
+    "argv, message",
+    [
+        (("-d", "3..7"), "scan of q=2, d=7 exceeds the desk-scale guard (pass --i-know to override)"),
+        (("-d", "7..8", "--i-know"), "a rule space of 18446744073709551616 rules exceeds the 64-bit rule index"),
+        (("-d", "3..4", "--field", "GF(3)"), "scan of q=3, d=4 exceeds the desk-scale guard (pass --i-know to override)"),
+    ],
+    ids=["3..7", "7..8 --i-know", "3..4 GF(3)"],
 )
-def test_workers_below_one_rejected(capsys, argv):
-    for bad in ("0", "-2"):
-        assert run(capsys, *argv, "--workers", bad) == (2, "", f"error: workers must be >= 1, got {bad}\n")
+def test_scan_range_is_refused_before_any_scan(capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("a diameter was scanned before the whole range was checked")
+
+    monkeypatch.setattr(search, "_scan_range", refuse)
+    assert run(capsys, "scan", *argv) == (2, "", f"error: {message}\n")
+
+
+# Every option of every command, so that a knob that does nothing cannot come
+# back unnoticed.
+CLI_OPTIONS = {
+    "check": ["--wolfram", "--table", "--linear", "-d --diameter", "--field", "--method", "--show-square",
+              "--format", "--out"],
+    "audit": ["--wolfram", "--table", "--linear", "-d --diameter", "--field", "--show-square", "--format", "--out"],
+    "scan": ["-d --diameter", "--field", "--i-know", "--stats", "--format", "--out"],
+    "count-linear": ["-d --diameter", "--field", "--i-know", "--format", "--out"],
+    "table1": ["--out"],
+    "table2": ["--out"],
+    "poly": ["text", "--field", "--format", "--out"],
+}
+
+
+def test_cli_options_are_pinned(capsys):
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [" ".join(a.option_strings) or a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        for name, p in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 34
+    for argv in (("scan", "-d", "3", "--workers", "1"), ("check", "--linear", "1,1,1", "--audit")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -339,7 +378,6 @@ def test_grid_cap_refused_before_any_table(capsys, monkeypatch):
     for argv in (
         ("check", "--linear", coeffs, "--method", "bruteforce"),
         ("audit", "--linear", coeffs),
-        ("check", "--linear", coeffs, "--audit"),
         ("check", "--linear", coeffs, "--show-square"),
     ):
         code, out, err = run(capsys, *argv)
@@ -462,7 +500,7 @@ TABLE_READING_OUTPUTS = {
         "superposition with transpose:\n"
         "1,1 4,2 3,4 2,3\n2,4 3,3 4,1 1,2\n4,3 1,4 2,2 3,1\n3,2 2,1 1,3 4,4\n",
     ),
-    ("check", "--linear", "1,0,1", "--audit", "--show-square"): (
+    ("audit", "--linear", "1,0,1", "--show-square"): (
         1,
         "rule: linear:1,0,1 (d=3, GF(2))\nverdict: not self-orthogonal\nmethod: bruteforce\n"
         "certificate: cells (1,1) and (2,2) repeat a pair\n"
@@ -537,11 +575,11 @@ def _fresh_python(code: str) -> str:
 
 def test_import_leaves_the_process_pool_out():
     # every command runs in one process: importing the package and the CLI,
-    # and counting with workers > 1, load no process pool
+    # and counting, load no process pool
     code = (
         "import sys, soca_kit, soca_kit.cli\n"
-        "soca_kit.count_linear_soca(14, 16, workers=4)\n"
-        "soca_kit.cli.main(['table2', '--workers', '2'])\n"
+        "soca_kit.count_linear_soca(14, 16)\n"
+        "soca_kit.cli.main(['table2'])\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
     assert _fresh_python(code) == (GOLDEN / "table2.csv").read_text() + "[]\n"

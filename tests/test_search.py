@@ -150,12 +150,6 @@ def test_alphabet_refusals_are_not_scale_guards():
         assert not isinstance(exc.value, ScaleGuardError)
 
 
-def test_scan_worker_determinism():
-    base = scan_soca(4)
-    assert scan_soca(4, workers=2).key() == base.key()
-    assert scan_soca(4, workers=3).key() == base.key()
-
-
 @pytest.mark.parametrize("field,d", [(GF2, 3), (GF2, 4), (GF2, 5), (GF3, 3)])
 def test_kernel_matches_bruteforce_oracle(field, d):
     rules = list(enumerate_bipermutive(field, d))
@@ -396,7 +390,7 @@ def test_affine_by_index_matches_as_affine(field, d):
 def test_affine_by_index_d6_hits():
     affine = rulespace._affine_by_index(GF2, 6)
     assert len(affine) == 32 and len(rulespace._affine_by_index(GF3, 3)) == 36
-    _, _, hits, _ = search._scan_indices(2, 6, 1, False)
+    _, _, hits, _ = search._scan_indices(2, 6, False)
     assert len(hits) == 16
     for index in hits:
         assert affine.get(index) == rulespace._rule_from_index(GF2, 6, index).as_affine()
@@ -435,7 +429,7 @@ def test_census_hits_have_transversal_diagonal(field, d):
     # a square orthogonal to its transpose has a transversal as its diagonal,
     # and no off-diagonal cell with A[r, c] == A[c, r] (that would repeat a
     # diagonal pair (a, a))
-    _, _, hits, _ = search._scan_indices(field.q, d, 1, False)
+    _, _, hits, _ = search._scan_indices(field.q, d, False)
     assert len(hits) == scan_soca(d, q=field.q).n_soca > 0
     for index in hits:
         grid = cayley_table(rulespace._rule_from_index(field, d, index)).grid
@@ -443,6 +437,39 @@ def test_census_hits_have_transversal_diagonal(field, d):
         assert sorted(np.diag(grid)) == list(range(1, n + 1))
         off = ~np.eye(n, dtype=bool)
         assert (grid != grid.T)[off].all()
+
+
+def _affine_tables(field, d):
+    # every affine rule of the space, built from its linear part and constant
+    rules = rulespace._affine_by_index(field, d).values()
+    tables = [field.add_array(lr.to_rule().table.astype(np.int64), constant) for lr, constant in rules]
+    return [lr for lr, _ in rules], np.array(tables, dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "field, d, fast, hits", [(GF2, 7, soca_binary_fast, 24), (GF3, 4, soca_linear_fast, 48)], ids=["GF(2)-7", "GF(3)-4"]
+)
+def test_full_check_matches_gcd_on_census_affine_rules(field, d, fast, hits):
+    # every hit of the two desk-scale censuses one diameter on is affine, so
+    # the full check decides them; a constant does not change the verdict
+    linear, tables = _affine_tables(field, d)
+    assert len(tables) == (field.q - 1) ** 2 * field.q ** (d - 1)
+    verdicts = search._full_check(field, d, tables)
+    assert verdicts.tolist() == [fast(lr).verdict for lr in linear]
+    assert verdicts.sum() == hits
+
+
+@pytest.mark.parametrize("field, d, seed", [(GF2, 7, 2507), (GF3, 4, 2534)], ids=["GF(2)-7", "GF(3)-4"])
+def test_census_slice_matches_bruteforce(field, d, seed):
+    # one seeded block of the census, placed so that it holds a hit
+    rng = random.Random(seed)
+    affine = rulespace._affine_by_index(field, d)
+    hit = rng.choice(sorted(i for i, (lr, _) in affine.items() if soca_linear_fast(lr).verdict))
+    start = max(hit - rng.randrange(search._BLOCK_RULES), 0)
+    indices = range(start, start + search._BLOCK_RULES)
+    expected = [i for i in indices if soca_bruteforce(rulespace._rule_from_index(field, d, i)).verdict]
+    assert hit in expected
+    assert search._scan_range(field, d, indices.start, indices.stop)[0] == expected
 
 
 def _linear_index(d: int, central: int, constant: int = 0) -> int:
@@ -482,23 +509,10 @@ def test_scan_stats():
         assert bare == rep and bare.key() == rep.key()
         assert scan_reports_to_csv([bare]) == scan_reports_to_csv([rep])
         assert json.dumps(bare.as_dict()) == json.dumps(rep.as_dict())
-    pooled = scan_soca(4, workers=2).stats
-    serial = scan_soca(4).stats
-    for name in ("enumerated", "diagonal_rejected", "prefix_rejected", "fully_checked"):
-        assert pooled[name] == serial[name]
     # at d = 6 the diagonal leaves 472 rules and the prefix exactly the 16 hits
     st = scan_soca(6).stats
     counted = (st["enumerated"], st["diagonal_rejected"], st["prefix_rejected"], st["fully_checked"])
     assert counted == (65536, 65064, 456, 16)
-
-
-def test_worker_count_validation():
-    with pytest.raises(ValueError, match="workers"):
-        scan_soca(3, workers=0)
-    with pytest.raises(ValueError, match="workers"):
-        find_nonlinear_soca(3, workers=-1)
-    with pytest.raises(ValueError, match="workers"):
-        count_linear_soca(3, 5, workers=0)
 
 
 def test_scans_check_workers_without_the_cpu_count(monkeypatch, capsys):
@@ -507,11 +521,9 @@ def test_scans_check_workers_without_the_cpu_count(monkeypatch, capsys):
 
     monkeypatch.setattr(os, "cpu_count", refuse)
     assert scan_soca(5).n_soca == 8
-    assert find_nonlinear_soca(4, workers=3) == []
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        scan_soca(5, workers=0)
-    assert cli.main(["scan", "-d", "5", "--workers", "0"]) == 2
-    assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+    assert find_nonlinear_soca(4) == []
+    assert cli.main(["scan", "-d", "5"]) == 0
+    assert capsys.readouterr().out.startswith("d=5 (GF(2)): bipermutive=256 soca=8 ")
 
 
 def test_hit_polynomials_are_not_rebuilt(monkeypatch):
@@ -602,12 +614,22 @@ def _count_linear_generic_loop(field, d):
 
 @pytest.mark.parametrize(
     "field, d_max",
-    [(GF3, 8), (Field(2, 2), 6), (Field(5), 5), (Field(2, 3), 4)],
-    ids=["GF(3)", "GF(4)", "GF(5)", "GF(8)"],
+    [(GF3, 8), (Field(2, 2), 6), (Field(5), 5), (Field(2, 3), 4), (Field(7), 4)],
+    ids=["GF(3)", "GF(4)", "GF(5)", "GF(8)", "GF(7)"],
 )
 def test_count_linear_generic_matches_gcd_loop(field, d_max):
     counts = count_linear_soca(2, d_max, q=field.q, force=True, field=field).counts
     assert counts == tuple(_count_linear_generic_loop(field, d) for d in range(2, d_max + 1))
+    # without field=, q names the field that --field "GF(q)" names
+    assert count_linear_soca(2, d_max, q=field.q, force=True).counts == counts
+
+
+def test_counts_refuse_the_orders_field_refuses():
+    for q, message in ((6, "6 is not a prime power"), (9, "extension fields are supported only in characteristic 2"),
+                       (131072, "field order 131072 exceeds 65536")):
+        with pytest.raises(ValueError, match=message) as exc:
+            count_linear_soca(3, 3, q=q)
+        assert not isinstance(exc.value, ScaleGuardError)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -666,17 +688,9 @@ def test_counts_check_workers_without_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", refuse)
     assert count_linear_soca(3, 13).counts[-1] == 768
-    assert count_linear_soca(3, 13, workers=4).counts[:3] == (1, 2, 4)
-    assert count_linear_soca(14, 16, workers=4).counts == (2048, 3136, 5062)
-    assert count_linear_soca(3, 5, q=3, workers=2).counts == (4, 16, 36)
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-        count_linear_soca(3, 5, workers=0)
-
-
-def test_count_worker_determinism():
-    a = count_linear_soca(3, 14, workers=1)
-    b = count_linear_soca(3, 14, workers=3)
-    assert a.key() == b.key()
+    assert count_linear_soca(3, 13).counts[:3] == (1, 2, 4)
+    assert count_linear_soca(14, 16).counts == (2048, 3136, 5062)
+    assert count_linear_soca(3, 5, q=3).counts == (4, 16, 36)
 
 
 def test_count_guard():
